@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race fuzz-smoke lint vet-baseline-update serve-smoke score-smoke gateway-smoke bench-serve bench-train bench-infer bench-score bench-smoke ci
+.PHONY: all build vet fmt-check test race fuzz-smoke lint vet-baseline-update serve-smoke score-smoke gateway-smoke bench-serve bench-train bench-infer bench-score bench-smoke bench-test bench ci
 
 all: build
 
@@ -179,8 +179,8 @@ bench-train:
 	$(GO) test -run '^TestWriteTrainBenchJSON$$' -count=1 -v ./internal/nn
 
 # Reproduce BENCH_infer.json: Network.Forward vs the blocked/fused
-# engine vs a 2-way-sharded engine on MLP/conv/attention shapes, with
-# the PR 5 naive-kernel engine ratio as speedup anchor, plus served
+# engine on MLP/conv/attention shapes, with the first engine's
+# naive-kernel ratio (pr5_kernels) as speedup anchor, plus served
 # req/s on the engine-backed worker pool (see README "Inference
 # engine").
 bench-infer:
@@ -188,10 +188,26 @@ bench-infer:
 	$(GO) test -run '^TestWriteInferBenchJSON$$' -count=1 -v ./internal/serve
 
 # One-pass bench smoke: the legacy-vs-engine forward benchmarks — MLP,
-# conv, attention, and the sharded-engine variant — must run (10
+# conv, attention, and the multi-lane engine variant — must run (10
 # iterations — correctness of the harness, not timing stability), so a
 # refactor cannot silently break the benchmark surface.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward(Legacy|Engine)' -benchtime 10x ./internal/nn
 
-ci: build vet fmt-check race fuzz-smoke lint serve-smoke score-smoke gateway-smoke bench-smoke
+# The benchmark module (bench/, its own go.mod) sits outside the root
+# module's `go test ./...`, yet it calls the public layer entry points;
+# its tests (~10s) catch an API change that would break it.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# One seeded run of each benchmark workload (see bench/README.md): every
+# run prints its JSON report and exits non-zero if a correctness check
+# fails. Takes a few minutes: each run measures for 20s after its setup.
+BENCH_WORKLOADS = interactive bulk-blob fleet score-loose score-tight
+bench:
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "bench $$w"; \
+		bash bench/run.sh --workload $$w --seed 1 || exit 1; \
+	done
+
+ci: build vet fmt-check race fuzz-smoke lint serve-smoke score-smoke gateway-smoke bench-smoke bench-test

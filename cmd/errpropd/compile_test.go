@@ -42,6 +42,25 @@ func TestCompileProducesLoadableArtifact(t *testing.T) {
 	}
 }
 
+// TestCompileFP8Formats: every format the artifact carries step tables
+// for is accepted by -format, case-insensitively, and the written
+// artifact decodes at that format.
+func TestCompileFP8Formats(t *testing.T) {
+	for _, tc := range []struct{ flag, want string }{{"fp8e4m3", "fp8e4m3"}, {"FP8E5M2", "fp8e5m2"}} {
+		dir := t.TempDir()
+		if err := run([]string{"-compile", "-demo", "-format", tc.flag, "-out", dir}); err != nil {
+			t.Fatalf("compile -format %s: %v", tc.flag, err)
+		}
+		art, err := errprop.ReadArtifactFile(filepath.Join(dir, "demo.aot"))
+		if err != nil {
+			t.Fatalf("reading %s artifact: %v", tc.flag, err)
+		}
+		if art.Format.String() != tc.want {
+			t.Fatalf("-format %s compiled at %s, want %s", tc.flag, art.Format, tc.want)
+		}
+	}
+}
+
 // TestRunCorruptArtifactRefusesBoot: a damaged artifact is a typed boot
 // refusal naming the file — never a silently served model.
 func TestRunCorruptArtifactRefusesBoot(t *testing.T) {

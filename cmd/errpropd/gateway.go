@@ -55,7 +55,6 @@ type backendFlags struct {
 	flush    time.Duration
 	queueCap int
 	workers  int
-	shards   int
 	timeout  time.Duration
 }
 
@@ -68,7 +67,6 @@ func backendArgs(f backendFlags) []string {
 		"-flush", f.flush.String(),
 		"-queue", strconv.Itoa(f.queueCap),
 		"-workers", strconv.Itoa(f.workers),
-		"-engine-shards", strconv.Itoa(f.shards),
 		"-timeout", f.timeout.String(),
 	}
 	if f.demo {

@@ -18,7 +18,7 @@ func TestBackendArgsRoundTrip(t *testing.T) {
 		format: "fp16", demo: true,
 		models:   []modelFlag{{name: "h2", path: "/m/h2.model"}},
 		maxBatch: 16, flush: 3 * time.Millisecond, queueCap: 256,
-		workers: 2, shards: 1, timeout: 4 * time.Second,
+		workers: 2, timeout: 4 * time.Second,
 	})
 	want := []string{
 		"-format", "fp16",
@@ -26,7 +26,6 @@ func TestBackendArgsRoundTrip(t *testing.T) {
 		"-flush", "3ms",
 		"-queue", "256",
 		"-workers", "2",
-		"-engine-shards", "1",
 		"-timeout", "4s",
 		"-demo",
 		"-model", "h2=/m/h2.model",

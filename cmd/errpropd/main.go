@@ -1,7 +1,8 @@
 // Command errpropd is the error-propagation inference daemon: it loads
-// one or more saved networks (nn.Save format), optionally quantizes
-// them, and serves batched predictions over HTTP with per-request QoI
-// error budgets (see internal/serve).
+// one or more models — compiled .aot artifacts, or saved networks
+// (nn.Save format) that it compiles into artifacts in memory at -format —
+// and serves batched predictions over HTTP with per-request QoI error
+// budgets (see internal/serve).
 //
 // Usage:
 //
@@ -18,7 +19,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -62,35 +62,34 @@ func main() {
 	}
 }
 
+// loadModel resolves one -model (or, with an empty path, the built-in
+// demo) into the artifact it serves: an .aot file is decoded and
+// verified, and a saved network is compiled at f in memory. built
+// reports the latter.
+func loadModel(m modelFlag, f errprop.Format) (art *errprop.Artifact, built bool, err error) {
+	if m.path != "" {
+		return errprop.LoadArtifact(m.path, f)
+	}
+	net, err := demoNetwork()
+	if err != nil {
+		return nil, false, err
+	}
+	art, err = errprop.BuildArtifact(net, f)
+	return art, true, err
+}
+
 // runCompile is -compile: the single blessed producer of ahead-of-time
-// artifacts. Each -model (and -demo) is loaded, compiled at format f —
+// artifacts. Each -model (and -demo) is compiled at format f —
 // quantization, op-program compilation, error-flow analysis, certified
 // bound — and written to <out>/<name>.aot.
-func runCompile(outDir string, f errprop.Format, models []modelFlag, demo bool) error {
-	if demo {
-		models = append(models, modelFlag{name: "demo"})
-	}
+func runCompile(outDir string, f errprop.Format, models []modelFlag) error {
 	for _, m := range models {
-		var net *errprop.Network
-		var err error
-		if m.path == "" {
-			net, err = demoNetwork()
-		} else {
-			var raw []byte
-			if raw, err = os.ReadFile(m.path); err != nil {
-				return err
-			}
-			if errprop.IsArtifact(raw) {
-				return fmt.Errorf("%s is already a compiled artifact", m.path)
-			}
-			net, err = errprop.LoadNetwork(bytes.NewReader(raw))
-		}
+		art, built, err := loadModel(m, f)
 		if err != nil {
-			return fmt.Errorf("loading %s: %w", m.path, err)
+			return err
 		}
-		art, err := errprop.BuildArtifact(net, f)
-		if err != nil {
-			return fmt.Errorf("compiling %q: %w", m.name, err)
+		if !built {
+			return fmt.Errorf("%s is already a compiled artifact", m.path)
 		}
 		path := filepath.Join(outDir, m.name+".aot")
 		if err := errprop.WriteArtifactFile(path, art); err != nil {
@@ -105,7 +104,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("errpropd", flag.ExitOnError)
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		format   = fs.String("format", "fp32", "serving weight format for all models (fp32|tf32|bf16|fp16|int8)")
+		format   = fs.String("format", "fp32", "weight format models built from a spec are compiled at (fp32|tf32|bf16|fp16|int8|fp8e4m3|fp8e5m2); an .aot artifact keeps its own")
 		demo     = fs.Bool("demo", false, "also register a built-in demo model named \"demo\"")
 		portfile = fs.String("portfile", "", "write the bound address to this file once listening")
 
@@ -113,7 +112,6 @@ func run(args []string) error {
 		flush    = fs.Duration("flush", 2*time.Millisecond, "micro-batch flush deadline")
 		queueCap = fs.Int("queue", 1024, "admission queue capacity per model")
 		workers  = fs.Int("workers", 4, "inference engines per model")
-		shards   = fs.Int("engine-shards", 1, "goroutines each engine splits a batch across (bit-identical for any value)")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
 
 		compileMode = fs.Bool("compile", false, "compile each -model (and -demo) into an ahead-of-time artifact at -format instead of serving, then exit")
@@ -150,36 +148,28 @@ func run(args []string) error {
 			backendArgs: backendArgs(backendFlags{
 				format: *format, demo: *demo, models: models,
 				maxBatch: *maxBatch, flush: *flush, queueCap: *queueCap,
-				workers: *workers, shards: *shards, timeout: *timeout,
+				workers: *workers, timeout: *timeout,
 			}),
 		})
 	}
 	if *spawn > 0 || *registry != "" {
 		return fmt.Errorf("-spawn and -registry require -gateway")
 	}
-	if len(models) == 0 && !*demo {
+	if *demo {
+		models = append(models, modelFlag{name: "demo"})
+	}
+	if len(models) == 0 {
 		if *compileMode {
 			return fmt.Errorf("nothing to compile: pass -model name=path and/or -demo")
 		}
 		return fmt.Errorf("nothing to serve: pass -model name=path and/or -demo")
 	}
-	var f errprop.Format
-	switch strings.ToLower(*format) {
-	case "fp32":
-		f = errprop.FP32
-	case "tf32":
-		f = errprop.TF32
-	case "bf16":
-		f = errprop.BF16
-	case "fp16":
-		f = errprop.FP16
-	case "int8":
-		f = errprop.INT8
-	default:
-		return fmt.Errorf("unknown format %q", *format)
+	f, err := errprop.ParseFormat(strings.ToLower(*format))
+	if err != nil {
+		return fmt.Errorf("-format: %w", err)
 	}
 	if *compileMode {
-		return runCompile(*outDir, f, models, *demo)
+		return runCompile(*outDir, f, models)
 	}
 
 	srv := errprop.NewServer(errprop.ServeConfig{
@@ -187,47 +177,19 @@ func run(args []string) error {
 		FlushInterval:  *flush,
 		QueueCap:       *queueCap,
 		Workers:        *workers,
-		EngineShards:   *shards,
 		RequestTimeout: *timeout,
 	})
 	for _, m := range models {
-		raw, err := os.ReadFile(m.path)
+		// A damaged artifact or model file is a boot refusal naming the
+		// file, never a silently served model.
+		art, _, err := loadModel(m, f)
 		if err != nil {
+			return fmt.Errorf("refusing to boot: %w", err)
+		}
+		if err := srv.RegisterArtifact(m.name, art); err != nil {
 			return err
 		}
-		if errprop.IsArtifact(raw) {
-			// Ahead-of-time artifact: bind the shipped program to the
-			// shipped weights; no recompilation, no re-analysis. The
-			// artifact's baked-in format wins over -format. A corrupt
-			// artifact is a boot refusal naming the file.
-			art, err := errprop.DecodeArtifact(raw)
-			if err != nil {
-				return fmt.Errorf("refusing to boot: artifact %s: %w", m.path, err)
-			}
-			if err := srv.RegisterArtifact(m.name, art); err != nil {
-				return err
-			}
-			log.Printf("registered %q from artifact %s (format %s, %s)", m.name, m.path, art.Format, art.Checksum)
-			continue
-		}
-		net, err := errprop.LoadNetwork(bytes.NewReader(raw))
-		if err != nil {
-			return fmt.Errorf("loading %s: %w", m.path, err)
-		}
-		if err := srv.Register(m.name, net, f); err != nil {
-			return err
-		}
-		log.Printf("registered %q from %s (format %s)", m.name, m.path, f)
-	}
-	if *demo {
-		net, err := demoNetwork()
-		if err != nil {
-			return err
-		}
-		if err := srv.Register("demo", net, f); err != nil {
-			return err
-		}
-		log.Printf("registered built-in demo model (format %s)", f)
+		log.Printf("registered %q (format %s, %s)", m.name, art.Format, art.Checksum)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

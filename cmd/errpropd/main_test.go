@@ -84,8 +84,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{}); err == nil {
 		t.Fatal("run with nothing to serve must fail")
 	}
-	if err := run([]string{"-demo", "-format", "fp13"}); err == nil {
-		t.Fatal("run with unknown format must fail")
+	if err := run([]string{"-demo", "-format", "fp13"}); err == nil || !strings.Contains(err.Error(), `"fp13"`) {
+		t.Fatalf("run with unknown format: %v, want a refusal naming it", err)
 	}
 	if err := run([]string{"-model", "x=/nonexistent.model", "-addr", "127.0.0.1:0"}); err == nil {
 		t.Fatal("run with a missing model file must fail")

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -51,12 +50,11 @@ func run(args []string) error {
 		// Scoring.
 		manifest  = fs.String("manifest", "", "manifest file of the dataset to score")
 		demo      = fs.Bool("demo", false, "score with the built-in demo model (9-feature H2-combustion MLP shape)")
-		modelPath = fs.String("model", "", "score with a saved model file (nn.Save format)")
-		format    = fs.String("format", "fp32", "serving weight format (fp32|tf32|bf16|fp16|int8)")
+		modelPath = fs.String("model", "", "score with a compiled .aot artifact or a saved model file (nn.Save format)")
+		format    = fs.String("format", "fp32", "weight format a spec model (-demo or a saved model) is compiled at (fp32|tf32|bf16|fp16|int8|fp8e4m3|fp8e5m2); an .aot artifact keeps its own")
 		budget    = fs.Float64("budget", 0, "per-sample QoI error budget (0 = report bounds without admission)")
 		workers   = fs.Int("workers", 0, "pipeline workers (0 = GOMAXPROCS; never changes results)")
 		batch     = fs.Int("batch", 256, "forward-pass batch size")
-		shards    = fs.Int("engine-shards", 1, "goroutines each worker engine splits a batch across (never changes results)")
 
 		out       = fs.String("out", "", "durable per-chunk JSONL result log")
 		summary   = fs.String("summary", "", "write the deterministic aggregate summary JSON here")
@@ -76,21 +74,19 @@ func run(args []string) error {
 		return fmt.Errorf("pass -manifest to score or -write to generate a dataset")
 	}
 
-	f, err := parseFormat(*format)
+	f, err := errprop.ParseFormat(strings.ToLower(*format))
 	if err != nil {
-		return err
+		return fmt.Errorf("-format: %w", err)
 	}
-	net, art, err := loadModel(*demo, *modelPath)
+	art, err := loadModel(*demo, *modelPath, f)
 	if err != nil {
 		return err
 	}
 
 	cfg := errprop.ScoreConfig{
-		Format:          f,
 		QoIBudget:       *budget,
 		Workers:         *workers,
 		Batch:           *batch,
-		EngineShards:    *shards,
 		CursorDir:       *cursorDir,
 		CheckpointEvery: *ckptEvery,
 		SkipCorrupt:     *skip,
@@ -121,14 +117,7 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
-	var res *errprop.ScoreResult
-	if art != nil {
-		// Cold-start from the compiled artifact: no quantization, no
-		// compilation, no re-analysis; its baked-in format wins over -format.
-		res, err = errprop.ScoreArtifactFile(art, *manifest, cfg)
-	} else {
-		res, err = errprop.ScoreFile(net, *manifest, cfg)
-	}
+	res, err := errprop.ScoreArtifactFile(art, *manifest, cfg)
 	if err != nil {
 		return err
 	}
@@ -176,50 +165,28 @@ func writeDataset(dir, codec string, tol float64, features, samples, chunk int, 
 	return nil
 }
 
-func parseFormat(s string) (errprop.Format, error) {
-	switch strings.ToLower(s) {
-	case "fp32":
-		return errprop.FP32, nil
-	case "tf32":
-		return errprop.TF32, nil
-	case "bf16":
-		return errprop.BF16, nil
-	case "fp16":
-		return errprop.FP16, nil
-	case "int8":
-		return errprop.INT8, nil
-	default:
-		return errprop.FP32, fmt.Errorf("unknown format %q", s)
-	}
-}
-
-// loadModel resolves -demo/-model into either a network or, when the
-// file carries the artifact magic, a fully verified compiled artifact
-// (a damaged artifact is a typed refusal naming the file, never a
-// silently scored model).
-func loadModel(demo bool, path string) (*errprop.Network, *errprop.Artifact, error) {
+// loadModel resolves -demo/-model into the artifact to score: the demo
+// and saved models are compiled at f in memory, and an .aot artifact is
+// decoded and verified with its own format (a damaged file is a typed
+// refusal naming it, never a silently scored model).
+func loadModel(demo bool, path string, f errprop.Format) (*errprop.Artifact, error) {
 	switch {
 	case demo && path != "":
-		return nil, nil, fmt.Errorf("pass -demo or -model, not both")
+		return nil, fmt.Errorf("pass -demo or -model, not both")
 	case demo:
 		net, err := errprop.MLPSpec("demo", []int{9, 50, 50, 9}, errprop.ActTanh, false).Build(1)
-		return net, nil, err
-	case path != "":
-		raw, err := os.ReadFile(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if errprop.IsArtifact(raw) {
-			art, err := errprop.DecodeArtifact(raw)
-			if err != nil {
-				return nil, nil, fmt.Errorf("refusing to score: artifact %s: %w", path, err)
-			}
-			return nil, art, nil
+		return errprop.BuildArtifact(net, f)
+	case path != "":
+		art, _, err := errprop.LoadArtifact(path, f)
+		if err != nil {
+			return nil, fmt.Errorf("refusing to score: %w", err)
 		}
-		net, err := errprop.LoadNetwork(bytes.NewReader(raw))
-		return net, nil, err
+		return art, nil
 	default:
-		return nil, nil, fmt.Errorf("pass -demo or -model path")
+		return nil, fmt.Errorf("pass -demo or -model path")
 	}
 }
 

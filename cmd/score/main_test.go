@@ -51,6 +51,31 @@ func TestWriteThenScoreEndToEnd(t *testing.T) {
 	}
 }
 
+// TestScoreFP8Format: -format takes every format an artifact carries
+// step tables for, fp8 included, and the summary reports its bound.
+func TestScoreFP8Format(t *testing.T) {
+	dir := t.TempDir()
+	ds := filepath.Join(dir, "ds")
+	if err := run([]string{"-write", ds, "-samples", "128", "-chunk", "64"}); err != nil {
+		t.Fatal(err)
+	}
+	sumPath := filepath.Join(dir, "sum.json")
+	if err := run([]string{"-manifest", filepath.Join(ds, "MANIFEST"), "-demo", "-format", "fp8e5m2", "-summary", sumPath}); err != nil {
+		t.Fatalf("score -format fp8e5m2: %v", err)
+	}
+	raw, err := os.ReadFile(sumPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc summaryDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Samples != 128 || doc.QuantBound <= 0 {
+		t.Fatalf("fp8e5m2 summary off: %+v", doc)
+	}
+}
+
 // TestScoreFromArtifactByteIdenticalSummary: -model pointed at a
 // compiled artifact cold-starts the scorer and writes a summary and
 // result log byte-identical to scoring the saved network at the
@@ -142,8 +167,8 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-manifest", "x", "-demo", "-model", "y"}); err == nil {
 		t.Fatal("accepted -demo and -model together")
 	}
-	if err := run([]string{"-manifest", "x", "-demo", "-format", "fp13"}); err == nil {
-		t.Fatal("accepted unknown format")
+	if err := run([]string{"-manifest", "x", "-demo", "-format", "fp13"}); err == nil || !strings.Contains(err.Error(), `"fp13"`) {
+		t.Fatalf("unknown format: %v, want a refusal naming it", err)
 	}
 	if err := run([]string{"-write", t.TempDir(), "-samples", "-1"}); err == nil {
 		t.Fatal("accepted negative sample count")

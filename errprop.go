@@ -198,6 +198,10 @@ const (
 // Formats lists the quantization targets the paper evaluates.
 var Formats = numfmt.Formats
 
+// ParseFormat resolves a format's canonical name (fp32, tf32, fp16, bf16,
+// int8, fp8e4m3, fp8e5m2); an unknown name is an error naming it.
+func ParseFormat(s string) (Format, error) { return numfmt.ParseFormat(s) }
+
 // StepSize returns the Table I average quantization step size q(W).
 func StepSize(f Format, weights []float64) float64 { return numfmt.StepSize(f, weights) }
 
@@ -379,14 +383,6 @@ func CompileInference(net *Network, maxBatch int) (*Engine, error) {
 	return nn.CompileInference(net, maxBatch)
 }
 
-// CompileInferenceSharded is CompileInference with Forward splitting
-// each batch column-wise across up to shards goroutines. Outputs are
-// bit-identical for every shard count — sharding is a wall-clock knob,
-// never a numbers knob — so certified bounds transfer unchanged.
-func CompileInferenceSharded(net *Network, maxBatch, shards int) (*Engine, error) {
-	return nn.CompileInferenceSharded(net, maxBatch, shards)
-}
-
 // InferShapes statically infers a Spec's output dimension, validating
 // layer-geometry chaining along the way — no network build, no forward
 // pass.
@@ -405,14 +401,16 @@ type ServeConfig = serve.Config
 type ServeMetrics = serve.Snapshot
 
 // NewServer builds an inference server; register models with
-// Server.Register and mount Server.Handler on any net/http server.
+// Server.RegisterArtifact (a spec model goes through BuildArtifact
+// first) and mount Server.Handler on any net/http server.
 func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 
 // Artifact is an ahead-of-time compiled model bundle: quantized
 // weights, the compiled op program, the error-flow graph with
 // build-time quantization step tables, and the certified bound — one
 // checksummed file that cold-starts anywhere with no recompilation
-// (see internal/artifact). Register one with Server.RegisterArtifact.
+// (see internal/artifact). Register one with Server.RegisterArtifact or
+// score with ScoreArtifact.
 type Artifact = artifact.Artifact
 
 // BuildArtifact compiles net into an artifact serving weight format f:
@@ -433,9 +431,12 @@ func WriteArtifactFile(path string, a *Artifact) error { return artifact.WriteFi
 // ReadArtifactFile reads and fully verifies an artifact file.
 func ReadArtifactFile(path string) (*Artifact, error) { return artifact.ReadFile(path) }
 
-// IsArtifact reports whether raw begins with the artifact container
-// magic — how loaders auto-detect artifact files vs legacy model files.
-func IsArtifact(raw []byte) bool { return artifact.SniffMagic(raw) }
+// LoadArtifact is the model-file loader the CLIs share: an artifact file
+// is decoded and verified (its baked-in format wins over f); a saved
+// network (Network.Save) is compiled at f in memory. built reports which.
+func LoadArtifact(path string, f Format) (a *Artifact, built bool, err error) {
+	return artifact.Load(path, f)
+}
 
 // Gateway routes inference requests across a fleet of errpropd
 // backends: consistent-hash routing on (model, request bytes), active
@@ -505,7 +506,7 @@ func Autotune(net *Network, field []float64, dims []int, opt AutotuneOptions) (*
 }
 
 // ScoreConfig tunes a bulk scoring run (see internal/score.Config): only
-// Format and QoIBudget affect the numbers; Workers, batching, simulated
+// the artifact and QoIBudget affect the numbers; Workers, batching, simulated
 // storage and cursor knobs affect speed, billing and durability, never a
 // result bit.
 type ScoreConfig = score.Config
@@ -549,24 +550,13 @@ func OpenScoreResultLog(path string) (*ScoreResultLog, error) {
 	return score.OpenResultLog(path)
 }
 
-// Score streams a dataset's chunks through net with per-chunk certified
-// error accounting: bounded memory, bit-identical results for any worker
-// count, and — with cfg.CursorDir set — crash-safe bit-identical resume.
-func Score(net *Network, man *ScoreManifest, cfg ScoreConfig) (*ScoreResult, error) {
-	return score.Score(net, man, cfg)
-}
-
-// ScoreFile is Score over an on-disk dataset directory: it reads the
-// manifest at path and scores the chunks beside it.
-func ScoreFile(net *Network, manifestPath string, cfg ScoreConfig) (*ScoreResult, error) {
-	return score.ScoreFile(net, manifestPath, cfg)
-}
-
-// ScoreArtifact is Score cold-started from a compiled artifact: the
-// shipped program binds to the shipped quantized weights and the
-// certified accounting comes from the artifact's error-flow graph —
-// results are bit-identical to scoring the original network at the
-// artifact's format.
+// ScoreArtifact streams a dataset's chunks through a compiled model with
+// per-chunk certified error accounting: bounded memory, bit-identical
+// results for any worker count, and — with cfg.CursorDir set —
+// crash-safe bit-identical resume. The shipped program binds to the
+// shipped quantized weights and the certified accounting comes from the
+// artifact's error-flow graph at its format; score a network by building
+// its artifact first (BuildArtifact).
 func ScoreArtifact(art *Artifact, man *ScoreManifest, cfg ScoreConfig) (*ScoreResult, error) {
 	return score.ScoreArtifact(art, man, cfg)
 }

@@ -24,7 +24,11 @@ func TestFacadeGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := errprop.NewServer(errprop.ServeConfig{Workers: 1})
-	if err := srv.Register("h2", net9, errprop.FP32); err != nil {
+	art, err := errprop.BuildArtifact(net9, errprop.FP32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterArtifact("h2", art); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)

@@ -48,9 +48,13 @@ func TestFacadeBulkScoring(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 4 * an.QuantizationBound()
+	art, err := errprop.BuildArtifact(net, errprop.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ref, err := errprop.ScoreFile(net, filepath.Join(dir, "MANIFEST"), errprop.ScoreConfig{
-		Format: errprop.FP16, QoIBudget: budget, Workers: 1,
+	ref, err := errprop.ScoreArtifactFile(art, filepath.Join(dir, "MANIFEST"), errprop.ScoreConfig{
+		QoIBudget: budget, Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,8 +71,8 @@ func TestFacadeBulkScoring(t *testing.T) {
 		}
 	}
 
-	got, err := errprop.Score(net, man, errprop.ScoreConfig{
-		Format: errprop.FP16, QoIBudget: budget, Workers: 4, Dir: dir,
+	got, err := errprop.ScoreArtifact(art, man, errprop.ScoreConfig{
+		QoIBudget: budget, Workers: 4, Dir: dir,
 	})
 	if err != nil {
 		t.Fatal(err)

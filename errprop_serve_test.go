@@ -12,7 +12,7 @@ import (
 )
 
 // TestFacadeServer exercises the serving subsystem purely through the
-// public facade: build a network, construct a server, register, predict
+// public facade: build a network, compile its artifact, register, predict
 // over HTTP, and read the metrics plane — the exact surface cmd/errpropd
 // and external callers use.
 func TestFacadeServer(t *testing.T) {
@@ -22,7 +22,11 @@ func TestFacadeServer(t *testing.T) {
 	}
 	srv := errprop.NewServer(errprop.ServeConfig{Workers: 2})
 	defer srv.Close()
-	if err := srv.Register("h2", net, errprop.FP16); err != nil {
+	art, err := errprop.BuildArtifact(net, errprop.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterArtifact("h2", art); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

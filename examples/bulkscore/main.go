@@ -60,6 +60,10 @@ func demo() error {
 	if err != nil {
 		return err
 	}
+	art, err := errprop.BuildArtifact(net, errprop.FP16)
+	if err != nil {
+		return err
+	}
 	an, err := errprop.Analyze(net, errprop.FP16)
 	if err != nil {
 		return err
@@ -68,10 +72,10 @@ func demo() error {
 	// tolerance, with a little headroom — so intact chunks land within
 	// budget and any chunk whose achieved error were worse would not.
 	budget := 1.2 * an.BoundLinf(man.Tol)
-	base := errprop.ScoreConfig{Format: errprop.FP16, QoIBudget: budget, Dir: ds}
+	base := errprop.ScoreConfig{QoIBudget: budget, Dir: ds}
 
 	// 3. Reference: one uninterrupted run.
-	ref, err := errprop.Score(net, man, base)
+	ref, err := errprop.ScoreArtifact(art, man, base)
 	if err != nil {
 		return err
 	}
@@ -90,14 +94,14 @@ func demo() error {
 		}
 		return nil
 	}
-	if _, err := errprop.Score(net, man, crash); !errors.Is(err, errKilled) {
+	if _, err := errprop.ScoreArtifact(art, man, crash); !errors.Is(err, errKilled) {
 		return fmt.Errorf("crash run: %v", err)
 	}
 
 	// 5. ...then resumed from the newest intact cursor.
 	resume := base
 	resume.CursorDir = crash.CursorDir
-	res, err := errprop.Score(net, man, resume)
+	res, err := errprop.ScoreArtifact(art, man, resume)
 	if err != nil {
 		return err
 	}

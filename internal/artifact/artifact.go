@@ -247,9 +247,36 @@ func ReadFile(path string) (*Artifact, error) {
 	return Decode(raw)
 }
 
+// Load is the one model-file loader: every model file a CLI serves or
+// scores becomes an artifact here. A file carrying the artifact magic is
+// decoded and fully verified, and its baked-in format wins over f; any
+// other file is read as a saved network (nn.Save) and compiled at f in
+// memory by Build. built reports which of the two happened. Errors name
+// the file.
+func Load(path string, f numfmt.Format) (a *Artifact, built bool, err error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, false, err
+	}
+	if SniffMagic(raw) {
+		if a, err = Decode(raw); err != nil {
+			return nil, false, fmt.Errorf("artifact %s: %w", path, err)
+		}
+		return a, false, nil
+	}
+	net, err := nn.Load(bytes.NewReader(raw))
+	if err != nil {
+		return nil, false, fmt.Errorf("loading %s: %w", path, err)
+	}
+	if a, err = Build(net, f); err != nil {
+		return nil, false, fmt.Errorf("compiling %s: %w", path, err)
+	}
+	return a, true, nil
+}
+
 // SniffMagic reports whether raw begins with the artifact magic —
-// the auto-detection hook model loaders use to pick the artifact path
-// over the legacy v3 model path.
+// the auto-detection hook Load uses to pick the artifact path over the
+// saved-network path.
 func SniffMagic(raw []byte) bool {
 	return len(raw) >= len(Magic) && string(raw[:len(Magic)]) == Magic
 }

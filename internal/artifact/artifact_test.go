@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/scidata/errprop/internal/core"
@@ -90,7 +91,7 @@ func TestBuildDecodeRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Bind: %v", f, err)
 				}
-				fresh, err := nn.CompileInferenceSharded(art.Net, 8, 2)
+				fresh, err := nn.CompileInference(art.Net, 8)
 				if err != nil {
 					t.Fatalf("%s: fresh compile: %v", f, err)
 				}
@@ -286,5 +287,63 @@ func TestWriteReadFile(t *testing.T) {
 	}
 	if _, err := ReadFile(path); err == nil {
 		t.Fatal("corrupt file must not read")
+	}
+}
+
+// TestLoad pins the one model-file loader: a saved network compiles in
+// memory to exactly the artifact Build produces at the requested format,
+// an artifact file decodes with its own format winning, and damage to
+// either kind of file is a typed integrity error naming the file.
+func TestLoad(t *testing.T) {
+	net := buildNet(t, testSpecs()[0])
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "m.model")
+	f, err := os.Create(specPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(net, numfmt.INT8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, built, err := Load(specPath, numfmt.INT8)
+	if err != nil || !built {
+		t.Fatalf("Load(spec): built=%v err=%v", built, err)
+	}
+	if got.Checksum != want.Checksum {
+		t.Fatalf("spec-loaded checksum %s != Build %s", got.Checksum, want.Checksum)
+	}
+
+	aotPath := filepath.Join(dir, "m.aot")
+	if err := WriteFile(aotPath, want); err != nil {
+		t.Fatal(err)
+	}
+	got, built, err = Load(aotPath, numfmt.FP16)
+	if err != nil || built {
+		t.Fatalf("Load(artifact): built=%v err=%v", built, err)
+	}
+	if got.Format != numfmt.INT8 || got.Checksum != want.Checksum {
+		t.Fatalf("artifact file loaded as %s %s, want int8 %s", got.Format, got.Checksum, want.Checksum)
+	}
+
+	for _, path := range []string{specPath, aotPath} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0x20
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Load(path, numfmt.INT8)
+		if !integrity.IsIntegrityError(err) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("Load(corrupt %s): %v, want an integrity error naming the file", path, err)
+		}
 	}
 }

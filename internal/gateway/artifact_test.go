@@ -126,7 +126,7 @@ type artifactBackend struct {
 func startArtifactBackend(t *testing.T, f numfmt.Format) *artifactBackend {
 	t.Helper()
 	s := serve.New(serve.Config{Workers: 1, RetryAfter: time.Second})
-	if err := s.Register("h2", h2Net(t), f); err != nil {
+	if err := s.RegisterArtifact("h2", buildH2Artifact(t, f)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)

@@ -47,7 +47,7 @@ func h2Net(t testing.TB) *nn.Network {
 func startProc(t *testing.T, name, addr string) *testProc {
 	t.Helper()
 	s := serve.New(serve.Config{Workers: 1, RetryAfter: time.Second})
-	if err := s.Register("h2", h2Net(t), numfmt.FP32); err != nil {
+	if err := s.RegisterArtifact("h2", buildH2Artifact(t, numfmt.FP32)); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", addr)

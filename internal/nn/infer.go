@@ -36,16 +36,16 @@ import (
 //     engines over one network cost no N-fold weight duplication, and a
 //     weight update to the network is visible to every engine.
 //
-// CompileInferenceSharded adds an optional Shards mode: Forward splits
-// the batch column-wise across that many goroutines executing the same
-// op program over per-worker arenas, each carved from its own single
-// slab allocation. Because every engine op maps batch columns
-// independently (eval-mode batchnorm uses frozen running statistics),
-// the split is pure data movement: shard boundaries are a fixed function
-// of (batch, shards), the join copies shard outputs back in fixed
-// ascending shard order, and no float reduction crosses a shard
-// boundary — the same discipline as the PR 3 data-parallel trainer, so
-// Shards=1 and Shards=N outputs are exact ==.
+// Program.Bind adds an optional lanes mode: Forward splits the batch
+// column-wise across that many goroutines executing the same op program
+// over per-lane arenas, each carved from its own single slab
+// allocation. Because every engine op maps batch columns independently
+// (eval-mode batchnorm uses frozen running statistics), the split is
+// pure data movement: lane boundaries are a fixed function of (batch,
+// lanes), the join copies lane outputs back in fixed ascending lane
+// order, and no float reduction crosses a lane boundary — the same
+// discipline as the data-parallel trainer, so one lane and N lanes
+// give exact == outputs.
 //
 // An Engine is not safe for concurrent use (its arenas are mutable
 // state); compile one per goroutine — they are cheap, sharing all
@@ -94,23 +94,11 @@ type inferOp interface {
 // compiled engine's Forward never mutates the source network; multiple
 // engines may share one network across goroutines.
 func CompileInference(net *Network, maxBatch int) (*Engine, error) {
-	return CompileInferenceSharded(net, maxBatch, 1)
-}
-
-// CompileInferenceSharded is CompileInference with Forward splitting
-// each batch column-wise across up to shards goroutines. Outputs are
-// bit-identical for every shard count; see the Engine doc for why.
-// Shard counts above maxBatch are clamped (a shard never owns less than
-// one column).
-func CompileInferenceSharded(net *Network, maxBatch, shards int) (*Engine, error) {
 	if net == nil {
 		return nil, fmt.Errorf("nn: CompileInference: nil network")
 	}
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("nn: CompileInference: maxBatch %d must be positive", maxBatch)
-	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("nn: CompileInference: shards %d must be positive", shards)
 	}
 	if net.InputDim <= 0 {
 		return nil, fmt.Errorf("nn: CompileInference: network input dim %d is not statically known", net.InputDim)
@@ -119,7 +107,7 @@ func CompileInferenceSharded(net *Network, maxBatch, shards int) (*Engine, error
 	if err != nil {
 		return nil, err
 	}
-	return p.Bind(net, maxBatch, shards)
+	return p.Bind(net, maxBatch, 1)
 }
 
 // Forward executes the compiled program on a (features x batch) matrix.

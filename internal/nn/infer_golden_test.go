@@ -66,7 +66,7 @@ func TestGoldenEnginePrograms(t *testing.T) {
 			}
 
 			// Every lane of a sharded engine compiles the identical program.
-			sharded, err := CompileInferenceSharded(net, 8, 3)
+			sharded, err := bindSharded(net, 8, 3)
 			if err != nil {
 				t.Fatalf("compile sharded: %v", err)
 			}

@@ -77,7 +77,7 @@ func BenchmarkForwardEngineConv(b *testing.B) {
 
 func BenchmarkForwardEngineConvSharded(b *testing.B) {
 	net := benchConvNet(b)
-	eng, err := CompileInferenceSharded(net, 64, 2)
+	eng, err := bindSharded(net, 64, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

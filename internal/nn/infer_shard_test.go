@@ -15,6 +15,15 @@ import (
 
 var shardCounts = []int{1, 2, 3, 8}
 
+// bindSharded compiles net's program and binds it across shards lanes.
+func bindSharded(net *Network, maxBatch, shards int) (*Engine, error) {
+	p, err := CompileProgram(net)
+	if err != nil {
+		return nil, err
+	}
+	return p.Bind(net, maxBatch, shards)
+}
+
 func TestEngineShardEquivalence(t *testing.T) {
 	for _, spec := range goldenInferSpecs() {
 		spec := spec
@@ -27,7 +36,7 @@ func TestEngineShardEquivalence(t *testing.T) {
 			}
 			engines := make(map[int]*Engine, len(shardCounts))
 			for _, sc := range shardCounts {
-				eng, err := CompileInferenceSharded(net, maxBatch, sc)
+				eng, err := bindSharded(net, maxBatch, sc)
 				if err != nil {
 					t.Fatalf("compile shards=%d: %v", sc, err)
 				}
@@ -74,7 +83,7 @@ func TestEngineShardedZeroAllocs(t *testing.T) {
 		for _, sc := range []int{2, 3} {
 			t.Run(spec.Name, func(t *testing.T) {
 				net := buildGolden(t, spec, 7)
-				eng, err := CompileInferenceSharded(net, 8, sc)
+				eng, err := bindSharded(net, 8, sc)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
@@ -96,7 +105,7 @@ func TestEngineShardedZeroAllocs(t *testing.T) {
 func TestEngineShardClamp(t *testing.T) {
 	spec := MLPSpec("clamp", []int{5, 8, 3}, ActTanh, false)
 	net := buildGolden(t, spec, 3)
-	eng, err := CompileInferenceSharded(net, 4, 64)
+	eng, err := bindSharded(net, 4, 64)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -111,10 +120,10 @@ func TestEngineShardClamp(t *testing.T) {
 			t.Fatalf("batch %d: clamped sharded output differs", batch)
 		}
 	}
-	if _, err := CompileInferenceSharded(net, 4, 0); err == nil {
+	if _, err := bindSharded(net, 4, 0); err == nil {
 		t.Fatal("expected error for shards=0")
 	}
-	if _, err := CompileInferenceSharded(net, 4, -1); err == nil {
+	if _, err := bindSharded(net, 4, -1); err == nil {
 		t.Fatal("expected error for negative shards")
 	}
 }
@@ -126,7 +135,7 @@ func TestEngineShardClamp(t *testing.T) {
 func TestEngineShardInputNotAliased(t *testing.T) {
 	spec := MLPSpec("alias", []int{6, 9, 4}, ActTanh, false)
 	net := buildGolden(t, spec, 11)
-	eng, err := CompileInferenceSharded(net, 8, 4)
+	eng, err := bindSharded(net, 8, 4)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -291,7 +291,8 @@ func (b *programBuilder) layer(l Layer, in, rows int, path string) (int, int, er
 
 // Bind resolves the program against net and materializes a runnable
 // Engine with buffers for maxBatch-column inputs split across shards
-// lanes. Every op is validated against the layer it references — index
+// lanes (clamped to maxBatch; outputs are bit-identical for every lane
+// count). Every op is validated against the layer it references — index
 // range, layer type, slot shapes — so a program decoded from an artifact
 // cannot silently bind to a structurally different network; a mismatch
 // is a typed error, never a wrong answer.

@@ -30,9 +30,9 @@ func TestProgramRoundTrip(t *testing.T) {
 				t.Fatal("decode -> re-encode is not byte-identical")
 			}
 
-			direct, err := CompileInferenceSharded(net, 8, 2)
+			direct, err := p.Bind(net, 8, 2)
 			if err != nil {
-				t.Fatalf("CompileInferenceSharded: %v", err)
+				t.Fatalf("Bind original: %v", err)
 			}
 			bound, err := p2.Bind(net, 8, 2)
 			if err != nil {

@@ -7,23 +7,26 @@ import (
 	"github.com/scidata/errprop/internal/numfmt"
 )
 
-// TestScoreArtifactMatchesSpecPath: scoring cold-started from a
-// compiled artifact — shipped quantized weights, shipped program,
-// shipped error-flow graph with build-time step tables — is
-// bit-identical to scoring the original network at the same format,
-// per chunk and in aggregate, across worker counts and shardings.
+// TestScoreArtifactMatchesSpecPath: scoring cold-started from an
+// artifact file — shipped quantized weights, shipped program, shipped
+// error-flow graph with build-time step tables, all round-tripped through
+// the wire format — is bit-identical to scoring the same spec model built
+// in memory, per chunk and in aggregate, across worker counts.
 func TestScoreArtifactMatchesSpecPath(t *testing.T) {
 	const features = 6
 	net := testNet(t, features)
 	dir, man := writeTestDataset(t, "sz", 1e-3, features, 200, 32)
 	for _, f := range []numfmt.Format{numfmt.FP32, numfmt.INT8, numfmt.BF16} {
 		t.Run(f.String(), func(t *testing.T) {
+			cfg := Config{QoIBudget: 10, Workers: 2, Batch: 16, Dir: dir}
+			ref, err := scoreNet(t, net, f, man, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 			art, err := artifact.Build(net, f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Round-trip through the wire format first: the scored artifact
-			// is the decoded one, exactly what a cold-starting process sees.
 			raw, err := art.Encode()
 			if err != nil {
 				t.Fatal(err)
@@ -32,33 +35,19 @@ func TestScoreArtifactMatchesSpecPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{Format: f, QoIBudget: 10, Workers: 2, Batch: 16, Dir: dir}
-			ref, err := Score(net, man, cfg)
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{2, 5} {
+				wcfg := cfg
+				wcfg.Workers = workers
+				got, err := ScoreArtifact(dec, man, wcfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameResult(t, got, ref, "decoded vs in-memory artifact")
+				if got.QuantBound != ref.QuantBound || got.InputTolL2 != ref.InputTolL2 {
+					t.Fatalf("certified accounting differs: bound %v vs %v, tol %v vs %v",
+						got.QuantBound, ref.QuantBound, got.InputTolL2, ref.InputTolL2)
+				}
 			}
-			// The artifact's baked-in format wins; hand ScoreArtifact a
-			// contradictory cfg.Format to prove it is ignored.
-			acfg := cfg
-			acfg.Format = numfmt.FP16
-			got, err := ScoreArtifact(dec, man, acfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, got, ref, "artifact vs spec")
-			if got.QuantBound != ref.QuantBound || got.InputTolL2 != ref.InputTolL2 {
-				t.Fatalf("certified accounting differs: bound %v vs %v, tol %v vs %v",
-					got.QuantBound, ref.QuantBound, got.InputTolL2, ref.InputTolL2)
-			}
-			// Worker count and engine sharding stay wall-clock-only knobs on
-			// the artifact path too.
-			sharded := acfg
-			sharded.Workers, sharded.EngineShards = 5, 3
-			again, err := ScoreArtifact(dec, man, sharded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResult(t, again, ref, "sharded artifact vs spec")
 		})
 	}
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"github.com/scidata/errprop/internal/artifact"
 	"github.com/scidata/errprop/internal/nn"
 	"github.com/scidata/errprop/internal/numfmt"
 )
@@ -49,12 +50,16 @@ func TestWriteScoreBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	art, err := artifact.Build(net, numfmt.FP16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rows []scoreBenchRow
 	for _, codec := range []string{"sz", "zfp", "mgard"} {
 		for _, tol := range []float64{1e-2, 1e-3, 1e-4} {
 			dir, man := writeTestDataset(t, codec, tol, features, samples, chunkSamples)
-			res, err := Score(net, man, Config{
-				Format: numfmt.FP16, Dir: dir, Batch: 256, DiscardChunkResults: true,
+			res, err := ScoreArtifact(art, man, Config{
+				Dir: dir, Batch: 256, DiscardChunkResults: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -23,7 +23,6 @@ func runToLog(t *testing.T, dir string, man *Manifest, logPath, cursorDir string
 	}
 	defer log.Close()
 	cfg := Config{
-		Format:          numfmt.FP16,
 		Workers:         workers,
 		Batch:           16,
 		Dir:             dir,
@@ -41,7 +40,7 @@ func runToLog(t *testing.T, dir string, man *Manifest, logPath, cursorDir string
 			return nil
 		}
 	}
-	return Score(testNet(t, man.Features), man, cfg)
+	return scoreNet(t, testNet(t, man.Features), numfmt.FP16, man, cfg)
 }
 
 // TestKillResumeBitIdentical is the crash-safety contract: a run killed
@@ -151,7 +150,7 @@ func TestResumeRejectsForeignCursor(t *testing.T) {
 	if _, err := runToLog(t, dirA, manA, filepath.Join(work, "a.jsonl"), curDir, 2, 4); !errors.Is(err, errKilled) {
 		t.Fatalf("crash run: %v", err)
 	}
-	_, err := Score(testNet(t, features), manB, Config{Dir: dirB, CursorDir: curDir})
+	_, err := scoreNet(t, testNet(t, features), numfmt.FP32, manB, Config{Dir: dirB, CursorDir: curDir})
 	if err == nil {
 		t.Fatal("accepted a cursor from a different manifest")
 	}

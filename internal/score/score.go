@@ -18,22 +18,17 @@ import (
 	"github.com/scidata/errprop/internal/hpcio"
 	"github.com/scidata/errprop/internal/integrity"
 	"github.com/scidata/errprop/internal/nn"
-	"github.com/scidata/errprop/internal/numfmt"
-	"github.com/scidata/errprop/internal/quant"
 	"github.com/scidata/errprop/internal/tensor"
 )
 
-// Config tunes a scoring run. Only Format, QoIBudget and the manifest
-// affect the *numbers*; Workers, Batch-induced engine sizing, storage
-// and cursor knobs affect speed, billing and durability, never a result
-// bit (Batch is semantic only in that it fixes the forward batching,
+// Config tunes a scoring run. Only the artifact, QoIBudget and the
+// manifest affect the *numbers*; Workers, Batch-induced engine sizing,
+// storage and cursor knobs affect speed, billing and durability, never a
+// result bit (Batch is semantic only in that it fixes the forward batching,
 // which the engine makes bit-identical at any partitioning — it is still
 // kept fixed across resumed runs for exactness by construction, not by
 // luck).
 type Config struct {
-	// Format is the weight quantization format the model executes under
-	// (FP32 = none); its certified bound joins every chunk's accounting.
-	Format numfmt.Format
 	// QoIBudget, when positive, is the per-sample QoI L-infinity budget:
 	// chunks whose certified bound exceeds it are flagged (and counted),
 	// never silently accepted.
@@ -43,13 +38,9 @@ type Config struct {
 	Workers int
 	// Batch is the forward-pass batch size (default 256).
 	Batch int
-	// EngineShards splits each worker engine's forward pass column-wise
-	// across this many goroutines (default 1 = unsharded). Bit-identical
-	// for any value (nn.CompileInferenceSharded), so it never appears in
-	// the exactness contract — only in wall-clock.
-	EngineShards int
 	// Dir is the chunk directory (default: the manifest's directory as
-	// passed to ScoreFile, or "." for Score on an in-memory manifest).
+	// passed to ScoreArtifactFile, or "." for ScoreArtifact on an
+	// in-memory manifest).
 	Dir string
 	// Storage and Decode bill the simulated I/O path (defaults: the
 	// paper's 2.8 GB/s Lustre and the calibrated decode model). When
@@ -92,9 +83,6 @@ func (c *Config) fillDefaults() {
 	if c.Batch <= 0 {
 		c.Batch = 256
 	}
-	if c.EngineShards <= 0 {
-		c.EngineShards = 1
-	}
 	if c.Dir == "" {
 		c.Dir = "."
 	}
@@ -136,101 +124,36 @@ type Result struct {
 	InputTolL2 float64
 }
 
-// Score runs the streaming scoring pipeline for net over the manifest's
-// chunks. The returned aggregate and per-chunk results are bit-identical
-// for any Workers value, and — with CursorDir set — across any
-// kill/resume split.
-//
-//errprop:deterministic results are a pure function of (net, manifest, chunk bytes, semantic config)
-func Score(net *nn.Network, man *Manifest, cfg Config) (*Result, error) {
-	cfg.fillDefaults()
-	if err := checkManifest(man, net.InputDim); err != nil {
-		return nil, err
-	}
-
-	// Plan once: quantize, analyze, compile one engine per worker.
-	serving := net
-	if cfg.Format != numfmt.FP32 {
-		q, err := quant.Quantize(net, cfg.Format)
-		if err != nil {
-			return nil, fmt.Errorf("score: quantizing: %w", err)
-		}
-		serving = q
-	}
-	an, err := core.AnalyzeNetwork(net, cfg.Format)
-	if err != nil {
-		return nil, fmt.Errorf("score: analyzing: %w", err)
-	}
-	engines := make([]*nn.Engine, cfg.Workers)
-	for i := range engines {
-		if engines[i], err = nn.CompileInferenceSharded(serving, cfg.Batch, cfg.EngineShards); err != nil {
-			return nil, fmt.Errorf("score: compiling engine: %w", err)
-		}
-	}
-	return scoreCompiled(serving, an, engines, man, cfg)
-}
-
-// ScoreArtifact is Score cold-started from an ahead-of-time artifact
-// (internal/artifact): the shipped program binds to the shipped
-// already-quantized weights and the shipped error-flow graph with its
-// build-time step tables replaces re-analysis — no quantization, no
-// compilation, no recomputation of the certified bound. The artifact's
-// baked-in format overrides cfg.Format.
+// ScoreArtifact runs the streaming scoring pipeline for a compiled model
+// (internal/artifact; a spec model is built in memory by artifact.Build
+// first) over the manifest's chunks. The shipped program binds to the
+// shipped already-quantized weights, and the shipped error-flow graph
+// with its build-time step tables supplies the certified accounting at
+// the artifact's format. The returned aggregate and per-chunk results
+// are bit-identical for any Workers value, and — with CursorDir set —
+// across any kill/resume split.
 //
 //errprop:deterministic results are a pure function of (artifact, manifest, chunk bytes, semantic config)
 func ScoreArtifact(art *artifact.Artifact, man *Manifest, cfg Config) (*Result, error) {
 	cfg.fillDefaults()
-	cfg.Format = art.Format
-	if err := checkManifest(man, art.Net.InputDim); err != nil {
-		return nil, err
+	if man == nil || len(man.Chunks) == 0 {
+		return nil, fmt.Errorf("score: empty manifest")
+	}
+	if art.Net.InputDim != man.Features {
+		return nil, fmt.Errorf("score: network input dim %d != manifest features %d", art.Net.InputDim, man.Features)
 	}
 	steps, err := art.StepsFor(art.Format)
 	if err != nil {
 		return nil, fmt.Errorf("score: %w", err)
 	}
-	an := core.Analyze(art.Root, steps)
 	engines := make([]*nn.Engine, cfg.Workers)
 	for i := range engines {
-		if engines[i], err = art.Program.Bind(art.Net, cfg.Batch, cfg.EngineShards); err != nil {
+		if engines[i], err = art.Program.Bind(art.Net, cfg.Batch, 1); err != nil {
 			return nil, fmt.Errorf("score: binding artifact program: %w", err)
 		}
 	}
-	return scoreCompiled(art.Net, an, engines, man, cfg)
-}
-
-// ScoreArtifactFile is ScoreArtifact over an on-disk dataset, mirroring
-// ScoreFile.
-func ScoreArtifactFile(art *artifact.Artifact, manifestPath string, cfg Config) (*Result, error) {
-	man, err := ReadManifestFile(manifestPath)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Dir == "" {
-		cfg.Dir = filepath.Dir(manifestPath)
-	}
-	return ScoreArtifact(art, man, cfg)
-}
-
-// checkManifest applies the shared manifest/model compatibility rules.
-func checkManifest(man *Manifest, inputDim int) error {
-	if man == nil || len(man.Chunks) == 0 {
-		return fmt.Errorf("score: empty manifest")
-	}
-	if inputDim != man.Features {
-		return fmt.Errorf("score: network input dim %d != manifest features %d", inputDim, man.Features)
-	}
-	return nil
-}
-
-// scoreCompiled runs the scoring pipeline over pre-built state: the
-// serving-weight network (for execution billing), its error-flow
-// analysis, and one compiled engine per worker — whichever door they
-// came through (Score's quantize/analyze/compile or ScoreArtifact's
-// decode/bind).
-func scoreCompiled(serving *nn.Network, an *core.Analysis, engines []*nn.Engine, man *Manifest, cfg Config) (*Result, error) {
-	acct := newAccountant(an, man.Features, cfg.QoIBudget)
-	r := &runner{cfg: cfg, man: man, acct: acct, serving: serving, engines: engines}
-	var err error
+	acct := newAccountant(core.Analyze(art.Root, steps), man.Features, cfg.QoIBudget)
+	r := &runner{cfg: cfg, man: man, acct: acct, art: art, engines: engines}
 	r.manChecksum, err = manifestChecksum(man)
 	if err != nil {
 		return nil, err
@@ -282,10 +205,10 @@ func scoreCompiled(serving *nn.Network, an *core.Analysis, engines []*nn.Engine,
 	return res, nil
 }
 
-// ScoreFile is Score over an on-disk dataset: it reads the manifest at
-// path and scores its chunks from the same directory (unless cfg.Dir
-// overrides it).
-func ScoreFile(net *nn.Network, manifestPath string, cfg Config) (*Result, error) {
+// ScoreArtifactFile is ScoreArtifact over an on-disk dataset: it reads
+// the manifest at manifestPath and scores its chunks from the same
+// directory (unless cfg.Dir overrides it).
+func ScoreArtifactFile(art *artifact.Artifact, manifestPath string, cfg Config) (*Result, error) {
 	man, err := ReadManifestFile(manifestPath)
 	if err != nil {
 		return nil, err
@@ -293,7 +216,7 @@ func ScoreFile(net *nn.Network, manifestPath string, cfg Config) (*Result, error
 	if cfg.Dir == "" {
 		cfg.Dir = filepath.Dir(manifestPath)
 	}
-	return Score(net, man, cfg)
+	return ScoreArtifact(art, man, cfg)
 }
 
 // manifestChecksum binds cursors to the manifest they measure progress
@@ -368,7 +291,7 @@ type runner struct {
 	cfg         Config
 	man         *Manifest
 	acct        *accountant
-	serving     *nn.Network
+	art         *artifact.Artifact
 	engines     []*nn.Engine
 	manChecksum uint32
 }
@@ -613,11 +536,11 @@ func (r *runner) execBilling(samples int) time.Duration {
 	rem := samples % r.cfg.Batch
 	var total time.Duration
 	if full > 0 {
-		dt, _ := gpusim.ExecCost(r.serving, r.cfg.Device, r.cfg.Format, r.cfg.Batch)
+		dt, _ := gpusim.ExecCost(r.art.Net, r.cfg.Device, r.art.Format, r.cfg.Batch)
 		total += time.Duration(full) * dt
 	}
 	if rem > 0 {
-		dt, _ := gpusim.ExecCost(r.serving, r.cfg.Device, r.cfg.Format, rem)
+		dt, _ := gpusim.ExecCost(r.art.Net, r.cfg.Device, r.art.Format, rem)
 		total += dt
 	}
 	return total

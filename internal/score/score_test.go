@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/scidata/errprop/internal/artifact"
 	"github.com/scidata/errprop/internal/detrand"
 	"github.com/scidata/errprop/internal/hpcio"
 	"github.com/scidata/errprop/internal/integrity"
@@ -23,6 +24,17 @@ func testNet(t *testing.T, features int) *nn.Network {
 		t.Fatal(err)
 	}
 	return net
+}
+
+// scoreNet scores a spec model the way the score CLI does: build the
+// artifact at format f in memory, then take the artifact path.
+func scoreNet(t *testing.T, net *nn.Network, f numfmt.Format, man *Manifest, cfg Config) (*Result, error) {
+	t.Helper()
+	art, err := artifact.Build(net, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ScoreArtifact(art, man, cfg)
 }
 
 // bitsEqual compares float slices bit for bit (DeepEqual would treat
@@ -69,7 +81,7 @@ func TestScoreWorkerInvariance(t *testing.T) {
 	for _, codec := range []string{"sz", "zfp", "mgard"} {
 		t.Run(codec, func(t *testing.T) {
 			dir, man := writeTestDataset(t, codec, 1e-3, features, 200, 32)
-			ref, err := Score(net, man, Config{Format: numfmt.FP16, QoIBudget: 10, Workers: 1, Batch: 16, Dir: dir})
+			ref, err := scoreNet(t, net, numfmt.FP16, man, Config{QoIBudget: 10, Workers: 1, Batch: 16, Dir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,17 +89,7 @@ func TestScoreWorkerInvariance(t *testing.T) {
 				t.Fatalf("aggregate counts off: %+v", ref.Agg)
 			}
 			for _, workers := range []int{2, 5} {
-				got, err := Score(net, man, Config{Format: numfmt.FP16, QoIBudget: 10, Workers: workers, Batch: 16, Dir: dir})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, got, ref, codec)
-			}
-			// EngineShards is the same kind of knob as Workers: wall-clock
-			// only. Sharded worker engines must reproduce the reference run
-			// bit for bit.
-			for _, shards := range []int{2, 3} {
-				got, err := Score(net, man, Config{Format: numfmt.FP16, QoIBudget: 10, Workers: 2, Batch: 16, EngineShards: shards, Dir: dir})
+				got, err := scoreNet(t, net, numfmt.FP16, man, Config{QoIBudget: 10, Workers: workers, Batch: 16, Dir: dir})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,7 +107,7 @@ func TestScoreMatchesDirectForward(t *testing.T) {
 	const features, batch = 5, 16
 	net := testNet(t, features)
 	dir, man := writeTestDataset(t, "sz", 1e-3, features, 96, 48)
-	res, err := Score(net, man, Config{Workers: 3, Batch: batch, Dir: dir})
+	res, err := scoreNet(t, net, numfmt.FP32, man, Config{Workers: 3, Batch: batch, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestScoreCertifiedAccounting(t *testing.T) {
 	net := testNet(t, features)
 	dir, man := writeTestDataset(t, "sz", 1e-3, features, 128, 32)
 
-	res, err := Score(net, man, Config{Format: numfmt.INT8, Workers: 2, Dir: dir})
+	res, err := scoreNet(t, net, numfmt.INT8, man, Config{Workers: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +179,7 @@ func TestScoreCertifiedAccounting(t *testing.T) {
 	}
 
 	// A budget below the quantization bound admits nothing.
-	tight, err := Score(net, man, Config{Format: numfmt.INT8, QoIBudget: res.QuantBound / 2, Dir: dir})
+	tight, err := scoreNet(t, net, numfmt.INT8, man, Config{QoIBudget: res.QuantBound / 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,7 @@ func TestScoreCertifiedAccounting(t *testing.T) {
 
 	// A generous budget admits everything, and admission matches the
 	// inverted bound.
-	loose, err := Score(net, man, Config{Format: numfmt.INT8, QoIBudget: 2 * tight.Agg.MaxBound, Dir: dir})
+	loose, err := scoreNet(t, net, numfmt.INT8, man, Config{QoIBudget: 2 * tight.Agg.MaxBound, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +235,11 @@ func TestScoreCorruptChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := Score(net, man, Config{Dir: dir, Workers: 2}); !integrity.IsIntegrityError(err) {
+	if _, err := scoreNet(t, net, numfmt.FP32, man, Config{Dir: dir, Workers: 2}); !integrity.IsIntegrityError(err) {
 		t.Fatalf("corrupt chunk without SkipCorrupt: got %v, want integrity error", err)
 	}
 
-	res, err := Score(net, man, Config{Dir: dir, Workers: 2, SkipCorrupt: true})
+	res, err := scoreNet(t, net, numfmt.FP32, man, Config{Dir: dir, Workers: 2, SkipCorrupt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ func TestScoreCorruptChunk(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Score(net, man, Config{Dir: dir, Workers: 2, SkipCorrupt: true})
+	res2, err := scoreNet(t, net, numfmt.FP32, man, Config{Dir: dir, Workers: 2, SkipCorrupt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +282,7 @@ func TestScoreTransientFaultBillingDeterministic(t *testing.T) {
 		st.Faults = &hpcio.TransientFaults{Stream: detrand.New(99), FailProb: 0.4, MaxRetries: 8}
 		return st
 	}
-	ref, err := Score(net, man, Config{Workers: 1, Dir: dir, Storage: mkStorage()})
+	ref, err := scoreNet(t, net, numfmt.FP32, man, Config{Workers: 1, Dir: dir, Storage: mkStorage()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestScoreTransientFaultBillingDeterministic(t *testing.T) {
 	if totalRetries == 0 {
 		t.Fatal("fault profile produced no retries; test is vacuous")
 	}
-	got, err := Score(net, man, Config{Workers: 4, Dir: dir, Storage: mkStorage()})
+	got, err := scoreNet(t, net, numfmt.FP32, man, Config{Workers: 4, Dir: dir, Storage: mkStorage()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +326,11 @@ func TestForwardChunkAllocs(t *testing.T) {
 
 func TestScoreInputValidation(t *testing.T) {
 	net := testNet(t, 4)
-	if _, err := Score(net, &Manifest{}, Config{}); err == nil {
+	if _, err := scoreNet(t, net, numfmt.FP32, &Manifest{}, Config{}); err == nil {
 		t.Fatal("accepted empty manifest")
 	}
 	_, man := writeTestDataset(t, "sz", 1e-3, 6, 32, 16)
-	if _, err := Score(net, man, Config{}); err == nil {
+	if _, err := scoreNet(t, net, numfmt.FP32, man, Config{}); err == nil {
 		t.Fatal("accepted feature/input dim mismatch")
 	}
 }

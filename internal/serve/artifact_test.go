@@ -5,50 +5,35 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"github.com/scidata/errprop/internal/artifact"
-	"github.com/scidata/errprop/internal/nn"
 	"github.com/scidata/errprop/internal/numfmt"
 )
 
 // TestRegisterArtifactMatchesSpecPath is the cold-start equivalence
-// oracle at the serving layer: a model registered from an ahead-of-time
-// artifact must be indistinguishable over the wire from one compiled
-// from its spec — bit-identical predictions and bounds, byte-identical
-// /v1/plan responses — while reporting the artifact's own checksum
-// identity.
+// oracle at the serving layer: a model registered from an artifact file
+// (Decode of the encoded bytes) must be indistinguishable over the wire
+// from the same spec model built in memory — bit-identical predictions
+// and bounds, byte-identical /v1/plan responses — and both report the
+// artifact's checksum identity.
 func TestRegisterArtifactMatchesSpecPath(t *testing.T) {
 	net := h2Net(t)
 	for _, f := range []numfmt.Format{numfmt.FP32, numfmt.INT8, numfmt.FP16} {
 		f := f
 		t.Run(f.String(), func(t *testing.T) {
-			art, err := artifact.Build(net, f)
-			if err != nil {
-				t.Fatalf("Build: %v", err)
-			}
-			// Artifacts round-trip through bytes before serving, as in
-			// production.
-			raw, err := art.Encode()
+			built := buildArtifact(t, net, f)
+			raw, err := built.Encode()
 			if err != nil {
 				t.Fatalf("Encode: %v", err)
 			}
-			art, err = artifact.Decode(raw)
+			art, err := artifact.Decode(raw)
 			if err != nil {
 				t.Fatalf("Decode: %v", err)
 			}
 
-			_, specTS := newTestServer(t, Config{Workers: 2, EngineShards: 2}, "h2", net, f)
-			as := New(Config{Workers: 2, EngineShards: 2})
-			if err := as.RegisterArtifact("h2", art); err != nil {
-				t.Fatalf("RegisterArtifact: %v", err)
-			}
-			artTS := httptest.NewServer(as.Handler())
-			t.Cleanup(func() {
-				artTS.Close()
-				as.Close()
-			})
+			_, specTS := serveArtifact(t, Config{Workers: 2}, "h2", built)
+			_, artTS := serveArtifact(t, Config{Workers: 2}, "h2", art)
 
 			rng := rand.New(rand.NewSource(3))
 			inputs := make([][]float64, 4)
@@ -84,60 +69,19 @@ func TestRegisterArtifactMatchesSpecPath(t *testing.T) {
 				}
 			}
 
-			// The artifact model's identity is the artifact body checksum.
-			resp, body := postJSON(t, artTS.Client(), artTS.URL+"/v1/predict", PredictRequest{Model: "h2", Inputs: inputs[:1]})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("predict: %d %s", resp.StatusCode, body)
+			// Both report the artifact body checksum as their identity, and
+			// after identical traffic their /v1/models bodies match exactly.
+			specModels, artModels := getBody(t, specTS.URL+"/v1/models"), getBody(t, artTS.URL+"/v1/models")
+			if !bytes.Equal(specModels, artModels) {
+				t.Fatalf("/v1/models differ:\nspec     %s\nartifact %s", specModels, artModels)
 			}
-			mresp, err := artTS.Client().Get(artTS.URL + "/v1/models")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer mresp.Body.Close()
 			var models map[string]ModelStats
-			if err := json.NewDecoder(mresp.Body).Decode(&models); err != nil {
+			if err := json.Unmarshal(artModels, &models); err != nil {
 				t.Fatal(err)
 			}
-			if st, ok := models["h2"]; !ok || st.Checksum != art.Checksum {
-				t.Fatalf("artifact model checksum: got %+v, want %s", models, art.Checksum)
+			if st, ok := models["h2"]; !ok || st.Checksum != art.Checksum || art.Checksum != built.Checksum {
+				t.Fatalf("model checksum: got %+v, want %s", models, art.Checksum)
 			}
 		})
 	}
-}
-
-// TestRegisterDedupesGraphBuilds pins the spec-hash -> error-flow-graph
-// dedupe: the same weights registered under many names and formats
-// translate to a graph exactly once.
-func TestRegisterDedupesGraphBuilds(t *testing.T) {
-	net := h2Net(t)
-	s := New(Config{Workers: 1})
-	t.Cleanup(s.Close)
-	if err := s.Register("a", net, numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register("b", net, numfmt.INT8); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Register("c", net, numfmt.FP16); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.graphBuilds.Load(); got != 1 {
-		t.Fatalf("graph built %d times for identical weights, want 1", got)
-	}
-	other := buildNamed(t, "other")
-	if err := s.Register("d", other, numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.graphBuilds.Load(); got != 2 {
-		t.Fatalf("graph builds after distinct weights: got %d, want 2", got)
-	}
-}
-
-func buildNamed(t testing.TB, name string) *nn.Network {
-	t.Helper()
-	net, err := nn.MLPSpec(name, []int{9, 20, 9}, nn.ActReLU, false).Build(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return net
 }

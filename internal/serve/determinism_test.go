@@ -41,9 +41,7 @@ func TestEndpointsDeterministic(t *testing.T) {
 	s := New(Config{})
 	// Registration order deliberately differs from sorted order.
 	for _, name := range []string{"zeta", "alpha", "mu", "beta", "kappa"} {
-		if err := s.Register(name, h2Net(t), numfmt.FP32); err != nil {
-			t.Fatal(err)
-		}
+		registerNet(t, s, name, h2Net(t), numfmt.FP32)
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {

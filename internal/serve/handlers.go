@@ -267,7 +267,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	quantBound, totalBound, budgetErr := m.checkBudget(req.Tolerance, norm, req.InputError)
 	bound := &BoundInfo{
-		Format:     m.format.String(),
+		Format:     m.art.Format.String(),
 		Norm:       norm.String(),
 		QuantBound: quantBound,
 		TotalBound: totalBound,
@@ -407,7 +407,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		}
 		formats = append(formats, f)
 	}
-	plan, err := core.PlanGraphSteps(m.planRoot, m.stepsFor, core.PlanRequest{
+	plan, err := core.PlanGraphSteps(m.art.Root, m.art.StepsFor, core.PlanRequest{
 		Tol:           req.Tol,
 		Norm:          norm,
 		QuantFraction: req.QuantFraction,

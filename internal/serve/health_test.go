@@ -44,9 +44,7 @@ func TestHealthzReadiness(t *testing.T) {
 		t.Fatalf("empty-server healthz: %+v, want ready=false status=ok no models", h)
 	}
 
-	if err := s.Register("h2", h2Net(t), numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, s, "h2", h2Net(t), numfmt.FP32)
 	code, h = getHealth(t, ts)
 	if code != http.StatusOK || !h.Ready || h.Draining {
 		t.Fatalf("registered healthz: code %d %+v, want 200 ready=true", code, h)
@@ -95,8 +93,7 @@ func TestAll503ShapesCarryRetryAfter(t *testing.T) {
 	t.Run("queue-full predict", func(t *testing.T) {
 		// One slow worker, 1-deep queue, a burst: some request must see the
 		// admission 503.
-		_, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 1, RetryAfter: 3 * time.Second},
-			"slow", slowNet(t), numfmt.FP32)
+		_, ts := serveArtifact(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 1, RetryAfter: 3 * time.Second}, "slow", slowArtifact(t))
 		in := PredictRequest{Model: "slow", Inputs: [][]float64{make([]float64, 256)}}
 		// Generous deadline: the race detector stretches each slow
 		// forward by an order of magnitude, and one round of 5 in-flight

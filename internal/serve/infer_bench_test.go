@@ -13,8 +13,8 @@ import (
 )
 
 // The compiled-inference bench trajectory (BENCH_infer.json): raw kernel
-// timings of Network.Forward vs Engine.Forward (blocked/fused kernels,
-// plus a 2-way-sharded engine column) on the paper's model shapes, and
+// timings of Network.Forward vs Engine.Forward (blocked/fused kernels)
+// on the paper's model shapes, and
 // end-to-end served throughput at 64 clients on the engine-backed worker
 // pool. The serve "before" number is the committed BENCH_serve.json
 // baseline (recorded when workers held Network.Clone replicas), and the
@@ -23,10 +23,7 @@ import (
 // engine's cost is expressed as its recorded ratio to the legacy forward
 // and re-anchored to this run's legacy timing.
 
-// kernelStats is one model x batch timing row. Sharded columns time the
-// same engine compiled with 2 lanes (bit-identical output by contract);
-// on a single-core runner they document no-regression rather than
-// speedup — the parallel win needs cores.
+// kernelStats is one model x batch timing row.
 type kernelStats struct {
 	Model          string  `json:"model"`
 	Batch          int     `json:"batch"`
@@ -34,8 +31,6 @@ type kernelStats struct {
 	LegacyAllocs   int64   `json:"legacy_allocs_per_op"`
 	EngineNsPerOp  float64 `json:"engine_ns_per_op"`
 	EngineAllocs   int64   `json:"engine_allocs_per_op"`
-	ShardedNsPerOp float64 `json:"engine_sharded2_ns_per_op,omitempty"`
-	ShardedAllocs  int64   `json:"engine_sharded2_allocs_per_op,omitempty"`
 	SpeedupVsLegcy float64 `json:"speedup"`
 	// SpeedupVsPR5 estimates this engine vs the PR 5 naive-kernel engine
 	// on this machine: pr5_ratio * legacy_ns_per_op / engine_ns_per_op,
@@ -104,32 +99,23 @@ func TestWriteInferBenchJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := nn.CompileInferenceSharded(net, 64, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, batch := range []int{1, 16, 64} {
 			x := tensor.NewMatrix(net.InputDim, batch)
 			for i := range x.Data {
 				x.Data[i] = float64(i%13)/13 - 0.5
 			}
-			// Sanity anchor before timing: the engines must be bit-identical
-			// or their speed is meaningless.
+			// Sanity anchor before timing: the engine must be bit-identical
+			// or its speed is meaningless.
 			want := net.Forward(x, false)
-			for _, path := range []struct {
-				name string
-				got  *tensor.Matrix
-			}{{"engine", eng.Forward(x)}, {"sharded", sharded.Forward(x)}} {
-				for i := range want.Data {
-					if path.got.Data[i] != want.Data[i] {
-						t.Fatalf("%s batch %d: %s output diverges from legacy forward", model, batch, path.name)
-					}
+			got := eng.Forward(x)
+			for i := range want.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("%s batch %d: engine output diverges from legacy forward", model, batch)
 				}
 			}
 			ks := kernelStats{Model: model, Batch: batch}
 			ks.LegacyNsPerOp, ks.LegacyAllocs = timeKernel(func() { net.Forward(x, false) })
 			ks.EngineNsPerOp, ks.EngineAllocs = timeKernel(func() { eng.Forward(x) })
-			ks.ShardedNsPerOp, ks.ShardedAllocs = timeKernel(func() { sharded.Forward(x) })
 			if ks.EngineNsPerOp > 0 {
 				ks.SpeedupVsLegcy = ks.LegacyNsPerOp / ks.EngineNsPerOp
 				if r, ok := pr5[kernelKey{model, batch}]; ok {
@@ -137,9 +123,8 @@ func TestWriteInferBenchJSON(t *testing.T) {
 				}
 			}
 			kernels = append(kernels, ks)
-			t.Logf("%s batch %d: legacy %.0f ns/op (%d allocs) engine %.0f ns/op (%d allocs) sharded2 %.0f ns/op (%d allocs) vs-pr5 %.2fx",
-				model, batch, ks.LegacyNsPerOp, ks.LegacyAllocs, ks.EngineNsPerOp, ks.EngineAllocs,
-				ks.ShardedNsPerOp, ks.ShardedAllocs, ks.SpeedupVsPR5)
+			t.Logf("%s batch %d: legacy %.0f ns/op (%d allocs) engine %.0f ns/op (%d allocs) vs-pr5 %.2fx",
+				model, batch, ks.LegacyNsPerOp, ks.LegacyAllocs, ks.EngineNsPerOp, ks.EngineAllocs, ks.SpeedupVsPR5)
 		}
 	}
 
@@ -152,7 +137,7 @@ func TestWriteInferBenchJSON(t *testing.T) {
 
 	doc := map[string]any{
 		"bench":       "infer",
-		"description": "Network.Forward vs compiled Engine.Forward kernel timings (testing.Benchmark) on the blocked/fused kernels, with an engine_sharded2 column (2-lane column-sharded engine, bit-identical by contract; wall-clock gains need >1 core — see gomaxprocs), plus served req/s at 64 clients on the engine-backed worker pool; serve_before is the committed BENCH_serve.json batched run at 64 clients (replica-based workers); pr5_kernels carries the PR 5 naive-kernel engine rows forward, and speedup_vs_pr5_engine re-anchors their engine/legacy cost ratio to this run's legacy timing",
+		"description": "Network.Forward vs compiled Engine.Forward kernel timings (testing.Benchmark) on the blocked/fused kernels, plus served req/s at 64 clients on the engine-backed worker pool; serve_before is the committed BENCH_serve.json batched run at 64 clients (replica-based workers); pr5_kernels carries the first engine's naive-kernel rows forward, and speedup_vs_pr5_engine re-anchors their engine/legacy cost ratio to this run's legacy timing",
 		"gomaxprocs":  runtime.GOMAXPROCS(0),
 		"models": map[string]string{
 			"mlp":  "9-64-64-9 tanh (psn)",
@@ -266,9 +251,7 @@ func TestServeBenchHarnessSmoke(t *testing.T) {
 	}
 	s := New(Config{Workers: 1, MaxBatch: 8, FlushInterval: time.Millisecond,
 		QueueCap: 256, RequestTimeout: 30 * time.Second})
-	if err := s.Register("h2", h2Net(t), numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, s, "h2", h2Net(t), numfmt.FP32)
 	defer s.Close()
 	st := runLoad(t, s, 4, 5)
 	if st.OK != st.Requests {

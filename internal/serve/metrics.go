@@ -106,10 +106,11 @@ type ModelStats struct {
 	InDim      int     `json:"in_dim"`
 	OutDim     int     `json:"out_dim"`
 	QuantBound float64 `json:"quant_bound"`
-	// Checksum is the CRC32C of the model's serialized form
-	// ("crc32c:xxxxxxxx"), computed at registration; operators compare it
-	// against a known-good model file to verify which weights a replica
-	// is actually serving.
+	// Checksum is the served artifact's identity: the CRC32C of its body
+	// ("crc32c:xxxxxxxx"), the same string `errpropd -compile` logs and a
+	// gateway registry pins. A spec model reports the checksum of the
+	// artifact built from it in memory, so it differs per serving format
+	// and equals the checksum of the .aot file compiled at that format.
 	Checksum string `json:"checksum"`
 	Requests int64  `json:"requests_total"`
 	Samples  int64  `json:"samples_total"`
@@ -180,11 +181,11 @@ func (s *Server) Metrics() Snapshot {
 		depth := len(md.queue)
 		snap.QueueDepth += depth
 		snap.Models[name] = ModelStats{
-			Format:     md.format.String(),
+			Format:     md.art.Format.String(),
 			InDim:      md.inDim,
 			OutDim:     md.outDim,
 			QuantBound: md.analysis.QuantizationBound(),
-			Checksum:   md.checksum,
+			Checksum:   md.art.Checksum,
 			Requests:   md.requests.Load(),
 			Samples:    md.samples.Load(),
 			Admitted:   md.admitted.Load(),

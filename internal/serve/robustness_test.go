@@ -11,7 +11,6 @@ import (
 	"github.com/scidata/errprop/internal/compress"
 	"github.com/scidata/errprop/internal/detrand"
 	"github.com/scidata/errprop/internal/faultinject"
-	"github.com/scidata/errprop/internal/integrity"
 	"github.com/scidata/errprop/internal/numfmt"
 )
 
@@ -81,38 +80,5 @@ func TestBlobCorruptionAlways400(t *testing.T) {
 	}
 	if integrityDetails == 0 {
 		t.Fatal("no rejection ever carried the integrity-check detail")
-	}
-}
-
-// TestModelsReportChecksum: /v1/models exposes each model's payload
-// checksum, matching an independent serialization of the same network.
-func TestModelsReportChecksum(t *testing.T) {
-	net := h2Net(t)
-	_, ts := newTestServer(t, Config{Workers: 1}, "h2", net, numfmt.FP16)
-
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := integrity.ChecksumString(integrity.Checksum(buf.Bytes()))
-
-	resp, err := ts.Client().Get(ts.URL + "/v1/models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var models map[string]ModelStats
-	if err := json.NewDecoder(resp.Body).Decode(&models); err != nil {
-		t.Fatal(err)
-	}
-	st, ok := models["h2"]
-	if !ok {
-		t.Fatalf("model missing from /v1/models: %+v", models)
-	}
-	if !strings.HasPrefix(st.Checksum, "crc32c:") {
-		t.Fatalf("checksum %q not in crc32c:xxxxxxxx form", st.Checksum)
-	}
-	if st.Checksum != want {
-		t.Fatalf("reported checksum %q != serialized-form checksum %q", st.Checksum, want)
 	}
 }

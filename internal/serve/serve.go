@@ -8,9 +8,10 @@
 //	            (503 + Retry-After        (flush on max batch      (one compiled
 //	             when full)                size or deadline)         Engine each)
 //
-// Each registered model owns one admission queue, one batcher goroutine
-// and Config.Workers worker goroutines. A worker holds a private
-// compiled inference engine (nn.CompileInference) rather than a full
+// Each registered model is an ahead-of-time artifact (internal/artifact)
+// and owns one admission queue, one batcher goroutine and Config.Workers
+// worker goroutines. A worker holds a private inference engine bound from
+// the artifact's compiled program (Program.Bind) rather than a full
 // nn.Network clone: engines share the served network's weights as
 // read-only views — no per-worker weight duplication, no backward-cache
 // baggage — while each engine's private buffer arena gives the worker
@@ -33,7 +34,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -44,10 +44,7 @@ import (
 
 	"github.com/scidata/errprop/internal/artifact"
 	"github.com/scidata/errprop/internal/core"
-	"github.com/scidata/errprop/internal/integrity"
 	"github.com/scidata/errprop/internal/nn"
-	"github.com/scidata/errprop/internal/numfmt"
-	"github.com/scidata/errprop/internal/quant"
 )
 
 // Config tunes the service. The zero value is usable; every field has a
@@ -65,12 +62,6 @@ type Config struct {
 	// Workers is the number of compiled inference engines serving each model
 	// (default 4).
 	Workers int
-	// EngineShards splits each engine's forward pass column-wise across
-	// this many goroutines (default 1 = unsharded). Outputs are
-	// bit-identical for any value (nn.CompileInferenceSharded); raise it
-	// when large batches on few models should use more cores than the
-	// worker count alone provides.
-	EngineShards int
 	// RequestTimeout bounds each request's time in queue + execution
 	// (default 5s); expiry returns 504.
 	RequestTimeout time.Duration
@@ -93,9 +84,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
-	}
-	if c.EngineShards <= 0 {
-		c.EngineShards = 1
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -120,7 +108,7 @@ var (
 )
 
 // Server routes inference requests to registered models. Create with
-// New, add models with Register, mount Handler, stop with Close.
+// New, add models with RegisterArtifact, mount Handler, stop with Close.
 type Server struct {
 	cfg     Config
 	metrics *metrics
@@ -130,46 +118,32 @@ type Server struct {
 	draining atomic.Bool
 	closed   chan struct{}
 	once     sync.Once
-
-	// planMu guards the per-weights error-flow graph cache: registering
-	// the same serialized network under several names (or formats) builds
-	// and analyzes its graph once, keyed by the weights checksum.
-	planMu      sync.Mutex
-	planGraphs  map[string]*core.Node
-	graphBuilds atomic.Int64 // graph constructions, for the dedupe regression test
 }
 
 // New builds a server (no listening socket; mount Server.Handler).
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	return &Server{
-		cfg:        cfg,
-		metrics:    newMetrics(),
-		models:     make(map[string]*model),
-		closed:     make(chan struct{}),
-		planGraphs: make(map[string]*core.Node),
+		cfg:     cfg,
+		metrics: newMetrics(),
+		models:  make(map[string]*model),
+		closed:  make(chan struct{}),
 	}
 }
 
 // Config reports the effective (defaults-filled) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// model is one registered network with its serving machinery.
+// model is one registered artifact with its serving machinery. The
+// artifact supplies the serving format, the planner's inputs (the
+// original network's error-flow graph and its build-time step tables)
+// and the checksum identity /v1/models reports.
 type model struct {
 	name     string
-	orig     *nn.Network // as registered, full precision (nil when cold-started from an artifact)
-	format   numfmt.Format
+	art      *artifact.Artifact
 	analysis *core.Analysis // error-flow analysis at the serving format
-	// planRoot and stepsFor are the planner's inputs: the error-flow
-	// graph of the original network plus the format -> step-size
-	// derivation. Spec-registered models derive steps from live weights
-	// (core.StepsForFormat); artifact models use the build-time tables
-	// shipped inside the artifact.
-	planRoot *core.Node
-	stepsFor func(numfmt.Format) (core.StepFunc, error)
 	inDim    int
 	outDim   int
-	checksum string // CRC32C identity: serialized network (spec path) or artifact body (artifact path)
 
 	queue chan *item   // admission queue (bounded)
 	work  chan []*item // batcher -> workers (unbuffered: backpressure)
@@ -197,76 +171,15 @@ type item struct {
 	done chan struct{}
 }
 
-// Register adds a named model served at weight format f. The network is
-// quantized once at registration (f != FP32), analyzed for its error
-// bounds, and compiled into Config.Workers inference engines sharing the
-// serving network's weights (nn.CompileInference — no per-worker weight
-// copies); net itself is kept full-precision for /v1/plan. The output
-// dimension comes from the engine's static shape inference, not a data
-// probe. The network must carry its Spec.
-func (s *Server) Register(name string, net *nn.Network, f numfmt.Format) error {
-	if name == "" {
-		return fmt.Errorf("serve: empty model name")
-	}
-	if s.draining.Load() {
-		return ErrDraining
-	}
-	serving := net
-	if f != numfmt.FP32 {
-		q, err := quant.Quantize(net, f)
-		if err != nil {
-			return fmt.Errorf("serve: quantizing %q: %w", name, err)
-		}
-		serving = q
-	}
-	// Checksum the model's serialized form so /v1/models can report which
-	// exact weights are being served — operators diffing a fleet against
-	// a known-good model file compare this string.
-	var serialized bytes.Buffer
-	if err := net.Save(&serialized); err != nil {
-		return fmt.Errorf("serve: serializing %q for checksum: %w", name, err)
-	}
-	sum := integrity.ChecksumString(integrity.Checksum(serialized.Bytes()))
-	root, err := s.graphFor(sum, net)
-	if err != nil {
-		return fmt.Errorf("serve: analyzing %q: %w", name, err)
-	}
-	stepsFor := func(f numfmt.Format) (core.StepFunc, error) { return core.StepsForFormat(f), nil }
-	an := core.Analyze(root, core.StepsForFormat(f))
-	engines := make([]*nn.Engine, s.cfg.Workers)
-	for i := range engines {
-		eng, err := nn.CompileInferenceSharded(serving, s.cfg.MaxBatch, s.cfg.EngineShards)
-		if err != nil {
-			return fmt.Errorf("serve: compiling inference engine for %q: %w", name, err)
-		}
-		engines[i] = eng
-	}
-	m := &model{
-		name:     name,
-		orig:     net,
-		format:   f,
-		analysis: an,
-		planRoot: root,
-		stepsFor: stepsFor,
-		inDim:    net.InputDim,
-		outDim:   engines[0].OutputDim(),
-		checksum: sum,
-		queue:    make(chan *item, s.cfg.QueueCap),
-		work:     make(chan []*item),
-		srv:      s,
-	}
-
-	return s.install(m, engines)
-}
-
-// RegisterArtifact adds a model cold-started from an ahead-of-time
-// compiled artifact (internal/artifact). Nothing is recompiled or
-// re-derived: the shipped program is bound to the shipped (already
-// quantized) weights, the planner runs against the shipped error-flow
-// graph and build-time step tables, and the model's reported checksum is
-// the artifact body's — the identity a gateway registry pins. The
-// artifact must come from artifact.Decode/ReadFile, which has already
-// verified its frame, canonical form, program, and certified bound.
+// RegisterArtifact adds a named model served from an ahead-of-time
+// compiled artifact (internal/artifact) — the one registration path. A
+// model file is decoded (artifact.Decode/ReadFile verify its frame,
+// canonical form, program and certified bound); a spec model is compiled
+// in memory by artifact.Build first. Nothing is recompiled or re-derived
+// here: the shipped program is bound to the shipped (already quantized)
+// weights, the planner runs against the shipped error-flow graph and
+// build-time step tables, and the model's reported checksum is the
+// artifact body's — the identity a gateway registry pins.
 func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty model name")
@@ -283,7 +196,7 @@ func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 	}
 	engines := make([]*nn.Engine, s.cfg.Workers)
 	for i := range engines {
-		eng, err := art.Program.Bind(art.Net, s.cfg.MaxBatch, s.cfg.EngineShards)
+		eng, err := art.Program.Bind(art.Net, s.cfg.MaxBatch, 1)
 		if err != nil {
 			return fmt.Errorf("serve: binding artifact engine for %q: %w", name, err)
 		}
@@ -291,40 +204,15 @@ func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 	}
 	m := &model{
 		name:     name,
-		format:   art.Format,
+		art:      art,
 		analysis: core.Analyze(art.Root, steps),
-		planRoot: art.Root,
-		stepsFor: art.StepsFor,
 		inDim:    art.Net.InputDim,
 		outDim:   engines[0].OutputDim(),
-		checksum: art.Checksum,
 		queue:    make(chan *item, s.cfg.QueueCap),
 		work:     make(chan []*item),
 		srv:      s,
 	}
-	return s.install(m, engines)
-}
 
-// graphFor returns the error-flow graph for a network, cached by its
-// serialized-weights checksum: the same weights registered under many
-// names (or formats) translate once.
-func (s *Server) graphFor(sum string, net *nn.Network) (*core.Node, error) {
-	s.planMu.Lock()
-	defer s.planMu.Unlock()
-	if root, ok := s.planGraphs[sum]; ok {
-		return root, nil
-	}
-	root, err := core.FromNetwork(net)
-	if err != nil {
-		return nil, err
-	}
-	s.planGraphs[sum] = root
-	s.graphBuilds.Add(1)
-	return root, nil
-}
-
-// install publishes a fully-built model and starts its goroutines.
-func (s *Server) install(m *model, engines []*nn.Engine) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Re-check under the lock: Close snapshots s.models while holding it,

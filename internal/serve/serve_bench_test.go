@@ -184,9 +184,7 @@ func benchServer(tb testing.TB, maxBatch int) *Server {
 		QueueCap:       4096,
 		RequestTimeout: 30 * time.Second,
 	})
-	if err := s.Register("h2", h2Net(tb), numfmt.FP32); err != nil {
-		tb.Fatal(err)
-	}
+	registerNet(tb, s, "h2", h2Net(tb), numfmt.FP32)
 	return s
 }
 
@@ -211,15 +209,11 @@ func TestMicroBatchingBeatsSingleAt64Clients(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := New(Config{Workers: 2, MaxBatch: 1, QueueCap: 4096, RequestTimeout: 30 * time.Second})
-	if err := single.Register("h2", loadNet, numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, single, "h2", loadNet, numfmt.FP32)
 	defer single.Close()
 	batched := New(Config{Workers: 2, MaxBatch: 64, FlushInterval: time.Millisecond,
 		QueueCap: 4096, RequestTimeout: 30 * time.Second})
-	if err := batched.Register("h2", loadNet, numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, batched, "h2", loadNet, numfmt.FP32)
 	defer batched.Close()
 
 	stSingle := runLoad(t, single, clients, perClient)
@@ -278,10 +272,10 @@ func coldStartModels(tb testing.TB) map[string]*nn.Network {
 }
 
 // timeToFirst200 measures one cold start: from file bytes on disk to
-// the first successful prediction, via either the artifact path
-// (decode + bind, no recompilation) or the spec path (load + quantize +
-// analyze + compile). The median of three runs smooths scheduler noise.
-func timeToFirst200(tb testing.TB, files map[string]string, fromArtifact bool, f numfmt.Format) float64 {
+// the first successful prediction, through artifact.Load — decode + bind
+// for .aot files, load + build (quantize, analyze, compile) for
+// saved-spec files. The median of three runs smooths scheduler noise.
+func timeToFirst200(tb testing.TB, files map[string]string, f numfmt.Format) float64 {
 	tb.Helper()
 	one := func() float64 {
 		start := time.Now()
@@ -289,26 +283,12 @@ func timeToFirst200(tb testing.TB, files map[string]string, fromArtifact bool, f
 			QueueCap: 4096, RequestTimeout: 30 * time.Second})
 		defer s.Close()
 		for name, path := range files {
-			raw, err := os.ReadFile(path)
+			art, _, err := artifact.Load(path, f)
 			if err != nil {
 				tb.Fatal(err)
 			}
-			if fromArtifact {
-				art, err := artifact.Decode(raw)
-				if err != nil {
-					tb.Fatal(err)
-				}
-				if err := s.RegisterArtifact(name, art); err != nil {
-					tb.Fatal(err)
-				}
-			} else {
-				net, err := nn.Load(bytes.NewReader(raw))
-				if err != nil {
-					tb.Fatal(err)
-				}
-				if err := s.Register(name, net, f); err != nil {
-					tb.Fatal(err)
-				}
+			if err := s.RegisterArtifact(name, art); err != nil {
+				tb.Fatal(err)
 			}
 		}
 		ts := httptest.NewServer(s.Handler())
@@ -367,9 +347,9 @@ func coldStartRows(tb testing.TB, f numfmt.Format) []coldStartStat {
 	}
 	return []coldStartStat{
 		{Mode: "compile-from-spec", Models: len(nets), Format: f.String(),
-			TimeToFirst200Ms: timeToFirst200(tb, specFiles, false, f)},
+			TimeToFirst200Ms: timeToFirst200(tb, specFiles, f)},
 		{Mode: "artifact-load", Models: len(nets), Format: f.String(),
-			TimeToFirst200Ms: timeToFirst200(tb, aotFiles, true, f)},
+			TimeToFirst200Ms: timeToFirst200(tb, aotFiles, f)},
 	}
 }
 
@@ -392,9 +372,7 @@ func TestWriteServeBenchJSON(t *testing.T) {
 		runs = append(runs, st)
 	}
 	sSingle := New(Config{Workers: 2, MaxBatch: 1, QueueCap: 4096, RequestTimeout: 30 * time.Second})
-	if err := sSingle.Register("h2", h2Net(t), numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, sSingle, "h2", h2Net(t), numfmt.FP32)
 	stSingle := runLoad(t, sSingle, 64, perClient)
 	stSingle.Mode = "single"
 	sSingle.Close()
@@ -458,9 +436,7 @@ func BenchmarkServePredict(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			s := New(Config{Workers: 2, MaxBatch: mode.maxBatch, FlushInterval: time.Millisecond,
 				QueueCap: 4096, RequestTimeout: 30 * time.Second})
-			if err := s.Register("h2", h2Net(b), numfmt.FP32); err != nil {
-				b.Fatal(err)
-			}
+			registerNet(b, s, "h2", h2Net(b), numfmt.FP32)
 			defer s.Close()
 			const clients = 64
 			perClient := b.N/clients + 1

@@ -9,12 +9,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/scidata/errprop/internal/artifact"
 	"github.com/scidata/errprop/internal/compress"
 	_ "github.com/scidata/errprop/internal/compress/sz" // blob round-trip
 	"github.com/scidata/errprop/internal/nn"
@@ -33,25 +33,62 @@ func h2Net(t testing.TB) *nn.Network {
 	return net
 }
 
-// slowNet is big enough that a single-sample forward takes milliseconds,
-// letting tests saturate queues deterministically.
-// slowNet is sized so one forward pass costs tens of milliseconds even
-// on the blocked engine kernels: the backpressure/timeout/drain tests
-// below need requests to observably pile up behind a busy worker, which
-// only holds when service time dwarfs goroutine-scheduling jitter.
-func slowNet(t testing.TB) *nn.Network {
+// slowArtifact is sized so one forward pass costs tens of milliseconds
+// even on the blocked engine kernels: the backpressure/timeout/drain
+// tests need requests to observably pile up behind a busy worker, which
+// only holds when service time dwarfs goroutine-scheduling jitter. Its
+// build (spectral norms and step tables over ~35M weights) dominates
+// those tests, so it is built once and shared: an artifact is immutable
+// and any number of servers may register it.
+func slowArtifact(t testing.TB) *artifact.Artifact {
 	t.Helper()
-	net, err := nn.MLPSpec("slow", []int{256, 4096, 4096, 4096, 8}, nn.ActReLU, false).Build(7)
+	slowOnce.Do(func() {
+		net, err := nn.MLPSpec("slow", []int{256, 4096, 4096, 4096, 8}, nn.ActReLU, false).Build(7)
+		if err == nil {
+			slowArt, err = artifact.Build(net, numfmt.FP32)
+		}
+		slowErr = err
+	})
+	if slowErr != nil {
+		t.Fatal(slowErr)
+	}
+	return slowArt
+}
+
+var (
+	slowOnce sync.Once
+	slowArt  *artifact.Artifact
+	slowErr  error
+)
+
+// buildArtifact compiles net into an in-memory artifact serving format f.
+func buildArtifact(t testing.TB, net *nn.Network, f numfmt.Format) *artifact.Artifact {
+	t.Helper()
+	art, err := artifact.Build(net, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net
+	return art
+}
+
+// registerNet serves net at format f the way errpropd serves a spec
+// model: build the artifact in memory, then register it.
+func registerNet(t testing.TB, s *Server, name string, net *nn.Network, f numfmt.Format) {
+	t.Helper()
+	if err := s.RegisterArtifact(name, buildArtifact(t, net, f)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func newTestServer(t testing.TB, cfg Config, name string, net *nn.Network, f numfmt.Format) (*Server, *httptest.Server) {
 	t.Helper()
+	return serveArtifact(t, cfg, name, buildArtifact(t, net, f))
+}
+
+func serveArtifact(t testing.TB, cfg Config, name string, art *artifact.Artifact) (*Server, *httptest.Server) {
+	t.Helper()
 	s := New(cfg)
-	if err := s.Register(name, net, f); err != nil {
+	if err := s.RegisterArtifact(name, art); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -117,45 +154,6 @@ func TestPredictMatchesDirectForward(t *testing.T) {
 	}
 	if pr.Bound == nil || pr.Bound.Format != "fp32" {
 		t.Fatalf("missing/wrong bound info: %+v", pr.Bound)
-	}
-}
-
-// TestShardedWorkersBitIdentical pins Config.EngineShards as a pure
-// wall-clock knob at the serving boundary: the same batch served by
-// 3-way-sharded worker engines must produce byte-identical response
-// outputs to an unsharded server.
-func TestShardedWorkersBitIdentical(t *testing.T) {
-	net := h2Net(t)
-	_, plain := newTestServer(t, Config{Workers: 1, MaxBatch: 16}, "h2", net, numfmt.FP16)
-	_, sharded := newTestServer(t, Config{Workers: 1, MaxBatch: 16, EngineShards: 3}, "h2", net, numfmt.FP16)
-
-	rng := rand.New(rand.NewSource(17))
-	inputs := make([][]float64, 8)
-	for i := range inputs {
-		row := make([]float64, 9)
-		for f := range row {
-			row[f] = rng.NormFloat64()
-		}
-		inputs[i] = row
-	}
-	req := PredictRequest{Model: "h2", Inputs: inputs}
-	resp, wantBody := postJSON(t, plain.Client(), plain.URL+"/v1/predict", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unsharded status %d: %s", resp.StatusCode, wantBody)
-	}
-	resp, gotBody := postJSON(t, sharded.Client(), sharded.URL+"/v1/predict", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded status %d: %s", resp.StatusCode, gotBody)
-	}
-	var want, got PredictResponse
-	if err := json.Unmarshal(wantBody, &want); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(gotBody, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
-		t.Fatal("sharded worker outputs differ from unsharded")
 	}
 }
 
@@ -235,8 +233,7 @@ func TestBadRequests(t *testing.T) {
 func TestBackpressure503WithRetryAfter(t *testing.T) {
 	// One slow worker, batch size 1, a 2-deep queue: a burst must
 	// overflow admission and be rejected rather than block.
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 2, RetryAfter: 2 * time.Second},
-		"slow", slowNet(t), numfmt.FP32)
+	_, ts := serveArtifact(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 2, RetryAfter: 2 * time.Second}, "slow", slowArtifact(t))
 
 	in := PredictRequest{Model: "slow", Inputs: [][]float64{make([]float64, 256)}}
 	const burst = 16
@@ -267,8 +264,7 @@ func TestBackpressure503WithRetryAfter(t *testing.T) {
 }
 
 func TestRequestTimeout504(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 64, RequestTimeout: time.Millisecond},
-		"slow", slowNet(t), numfmt.FP32)
+	_, ts := serveArtifact(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 64, RequestTimeout: time.Millisecond}, "slow", slowArtifact(t))
 
 	// Pile several requests on the single slow worker so later ones
 	// exceed the 1ms deadline while queued.
@@ -293,7 +289,7 @@ func TestRequestTimeout504(t *testing.T) {
 
 func TestGracefulDrain(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 4, QueueCap: 64})
-	if err := s.Register("slow", slowNet(t), numfmt.FP32); err != nil {
+	if err := s.RegisterArtifact("slow", slowArtifact(t)); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -349,8 +345,8 @@ func TestGracefulDrain(t *testing.T) {
 			t.Fatalf("in-flight request finished with %d, want 200", code)
 		}
 	}
-	if err := s.Register("late", h2Net(t), numfmt.FP32); err == nil {
-		t.Fatal("Register succeeded on a drained server")
+	if err := s.RegisterArtifact("late", buildArtifact(t, h2Net(t), numfmt.FP32)); err == nil {
+		t.Fatal("RegisterArtifact succeeded on a drained server")
 	}
 	s.Close() // idempotent
 }
@@ -363,9 +359,7 @@ func TestGracefulDrain(t *testing.T) {
 func TestDrainFlushesPartialBatch(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 32, FlushInterval: 30 * time.Second,
 		QueueCap: 64, RequestTimeout: time.Minute})
-	if err := s.Register("h2", h2Net(t), numfmt.FP32); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, s, "h2", h2Net(t), numfmt.FP32)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
