@@ -52,7 +52,6 @@ type backendFlags struct {
 	demo     bool
 	models   []modelFlag
 	maxBatch int
-	flush    time.Duration
 	queueCap int
 	workers  int
 	timeout  time.Duration
@@ -64,7 +63,6 @@ func backendArgs(f backendFlags) []string {
 	args := []string{
 		"-format", f.format,
 		"-max-batch", strconv.Itoa(f.maxBatch),
-		"-flush", f.flush.String(),
 		"-queue", strconv.Itoa(f.queueCap),
 		"-workers", strconv.Itoa(f.workers),
 		"-timeout", f.timeout.String(),

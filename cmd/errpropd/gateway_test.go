@@ -17,13 +17,12 @@ func TestBackendArgsRoundTrip(t *testing.T) {
 	args := backendArgs(backendFlags{
 		format: "fp16", demo: true,
 		models:   []modelFlag{{name: "h2", path: "/m/h2.model"}},
-		maxBatch: 16, flush: 3 * time.Millisecond, queueCap: 256,
+		maxBatch: 16, queueCap: 256,
 		workers: 2, timeout: 4 * time.Second,
 	})
 	want := []string{
 		"-format", "fp16",
 		"-max-batch", "16",
-		"-flush", "3ms",
 		"-queue", "256",
 		"-workers", "2",
 		"-timeout", "4s",

@@ -109,7 +109,6 @@ func run(args []string) error {
 		portfile = fs.String("portfile", "", "write the bound address to this file once listening")
 
 		maxBatch = fs.Int("max-batch", 32, "micro-batch size limit")
-		flush    = fs.Duration("flush", 2*time.Millisecond, "micro-batch flush deadline")
 		queueCap = fs.Int("queue", 1024, "admission queue capacity per model")
 		workers  = fs.Int("workers", 4, "inference engines per model")
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
@@ -147,7 +146,7 @@ func run(args []string) error {
 			seed:       *seed,
 			backendArgs: backendArgs(backendFlags{
 				format: *format, demo: *demo, models: models,
-				maxBatch: *maxBatch, flush: *flush, queueCap: *queueCap,
+				maxBatch: *maxBatch, queueCap: *queueCap,
 				workers: *workers, timeout: *timeout,
 			}),
 		})
@@ -174,7 +173,6 @@ func run(args []string) error {
 
 	srv := errprop.NewServer(errprop.ServeConfig{
 		MaxBatch:       *maxBatch,
-		FlushInterval:  *flush,
 		QueueCap:       *queueCap,
 		Workers:        *workers,
 		RequestTimeout: *timeout,

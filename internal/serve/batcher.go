@@ -7,112 +7,108 @@ import (
 	"github.com/scidata/errprop/internal/tensor"
 )
 
-// batchLoop is the model's dynamic micro-batcher: it blocks for the
-// first queued item, then keeps accepting items until the batch reaches
-// maxBatch or flush elapses — whichever comes first — and hands the
-// batch to the worker pool. The hand-off channel is unbuffered, so when
-// every worker is busy the batcher stalls, the admission queue fills,
-// and enqueue starts returning ErrBusy: backpressure propagates to the
-// client as 503 instead of unbounded memory growth.
-func (m *model) batchLoop(maxBatch int, flush time.Duration) {
-	defer func() {
-		close(m.work)
-		m.wg.Done()
-	}()
-	timer := time.NewTimer(flush)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		first, ok := <-m.queue
-		if !ok {
-			return
-		}
-		batch := m.fillBatch(first, timer, maxBatch, flush)
-		m.work <- batch
-	}
-}
-
-// fillBatch grows a batch from its first item until size or deadline.
-// With maxBatch == 1 it returns immediately: batch-size-1 serving pays
-// no coalescing latency.
-func (m *model) fillBatch(first *item, timer *time.Timer, maxBatch int, flush time.Duration) []*item {
-	batch := append(make([]*item, 0, maxBatch), first)
-	if maxBatch == 1 {
-		return batch
-	}
-	timer.Reset(flush)
-	defer func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}()
-	for len(batch) < maxBatch {
-		select {
-		case it, ok := <-m.queue:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, it)
-		case <-timer.C:
-			return batch
-		}
-	}
-	return batch
+// span is a run of one request's samples, [lo, hi), inside a batch.
+type span struct {
+	r      *request
+	lo, hi int
 }
 
 // workLoop runs batches on this worker's private compiled inference
-// engine until the batcher closes the work channel (drain). The input
-// matrix is worker-owned and reused across batches (the pack loop
-// overwrites every entry), so the steady-state forward pass allocates
-// only the per-item result slices.
-func (m *model) workLoop(eng *nn.Engine) {
-	defer m.wg.Done()
+// engine until the model is closed and its FIFO is empty (drain). The
+// input matrix and span list are worker-owned and reused across batches
+// (the pack loop overwrites every entry), so the steady-state forward
+// pass allocates nothing per sample.
+func (m *model) workLoop(eng *nn.Engine, maxBatch int) {
+	defer m.srv.workers.Done()
 	var in *tensor.Matrix
-	for batch := range m.work {
-		in = m.runBatch(eng, in, batch)
+	batch := make([]span, 0, maxBatch)
+	for {
+		var k int
+		batch, k = m.take(batch[:0], maxBatch)
+		if k == 0 {
+			return
+		}
+		in = m.runBatch(eng, in, batch, k)
 	}
 }
 
-// runBatch executes one micro-batch: expired items are skipped (their
-// waiters already gave up), the rest are packed into the worker's
-// reusable (features x batch) matrix for a single engine forward pass,
-// and each result column is copied out to its item (the engine owns the
-// output matrix only until its next Forward).
-func (m *model) runBatch(eng *nn.Engine, in *tensor.Matrix, batch []*item) *tensor.Matrix {
-	live := make([]*item, 0, len(batch))
-	for _, it := range batch {
-		if it.ctx != nil && it.ctx.Err() != nil {
-			it.err = it.ctx.Err()
-			close(it.done)
-			continue
+// take is the work-conserving batcher: it blocks only while the FIFO is
+// empty, then claims up to maxBatch samples from the head requests,
+// splitting the head when it holds more than fit, and drops expired
+// requests unexecuted (their waiters already gave up). It returns the
+// batch and its sample count, 0 once the model is closed and drained.
+func (m *model) take(batch []span, maxBatch int) ([]span, int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		for m.held || (len(m.fifo) == 0 && !m.closed) {
+			m.cond.Wait()
 		}
-		live = append(live, it)
+		if len(m.fifo) == 0 {
+			return batch, 0
+		}
+		k := 0
+		for len(m.fifo) > 0 && k < maxBatch {
+			r := m.fifo[0]
+			n := min(len(r.in)-r.next, maxBatch-k)
+			if r.ctx.Err() != nil {
+				n = len(r.in) - r.next
+				r.resolve(n)
+			} else {
+				if r.next == 0 {
+					m.srv.metrics.queueWait.observe(time.Since(r.admitted).Seconds())
+				}
+				batch = append(batch, span{r: r, lo: r.next, hi: r.next + n})
+				k += n
+			}
+			r.next += n
+			m.depth.Add(-int64(n))
+			if r.next == len(r.in) {
+				m.fifo[0] = nil
+				m.fifo = m.fifo[1:]
+			}
+		}
+		// Work left over goes to the next idle worker, so a request
+		// larger than one batch runs on several engines at once.
+		if len(m.fifo) > 0 {
+			m.cond.Signal()
+		}
+		if k > 0 {
+			return batch, k
+		}
 	}
-	if len(live) == 0 {
-		return in
-	}
-	k := len(live)
+}
+
+// runBatch executes one micro-batch of k samples: they are packed into
+// the worker's reusable (features x k) matrix for a single engine
+// forward pass, and each result column is copied out to its request
+// (the engine owns the output matrix only until its next Forward).
+func (m *model) runBatch(eng *nn.Engine, in *tensor.Matrix, batch []span, k int) *tensor.Matrix {
 	in = tensor.EnsureMatrix(in, m.inDim, k)
-	for i, it := range live {
-		for f := 0; f < m.inDim; f++ {
-			in.Data[f*k+i] = it.x[f]
+	col := 0
+	for _, s := range batch {
+		for _, x := range s.r.in[s.lo:s.hi] {
+			for f := 0; f < m.inDim; f++ {
+				in.Data[f*k+col] = x[f]
+			}
+			col++
 		}
 	}
 	y := eng.Forward(in)
-	for i, it := range live {
-		out := make([]float64, y.Rows)
-		for f := 0; f < y.Rows; f++ {
-			out[f] = y.Data[f*k+i]
-		}
-		it.out = out
-		close(it.done)
-	}
+	// Count the batch before any waiter can wake, so a client holding a
+	// response always finds its samples in /metrics.
 	m.srv.metrics.batches.Add(1)
 	m.srv.metrics.samples.Add(int64(k))
 	m.srv.metrics.batchSize.observe(float64(k))
+	col = 0
+	for _, s := range batch {
+		for j := s.lo; j < s.hi; j++ {
+			for f := 0; f < m.outDim; f++ {
+				s.r.out[j*m.outDim+f] = y.Data[f*k+col]
+			}
+			col++
+		}
+		s.r.resolve(s.hi - s.lo)
+	}
 	return in
 }

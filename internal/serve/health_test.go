@@ -91,39 +91,18 @@ func TestAll503ShapesCarryRetryAfter(t *testing.T) {
 	}
 
 	t.Run("queue-full predict", func(t *testing.T) {
-		// One slow worker, 1-deep queue, a burst: some request must see the
+		// A held worker and a 1-deep queue: the second request must see the
 		// admission 503.
-		_, ts := serveArtifact(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 1, RetryAfter: 3 * time.Second}, "slow", slowArtifact(t))
-		in := PredictRequest{Model: "slow", Inputs: [][]float64{make([]float64, 256)}}
-		// Generous deadline: the race detector stretches each slow
-		// forward by an order of magnitude, and one round of 5 in-flight
-		// requests drains serially through the single worker.
-		deadline := time.Now().Add(2 * time.Minute)
-		for {
-			// 5 concurrent requests against capacity 2 (1 in the worker,
-			// 1 queued): some request must see the admission 503. Inspect
-			// every response — which request draws the 503 is up to the
-			// scheduler.
-			resps := make(chan *http.Response, 5)
-			for i := 0; i < 5; i++ {
-				go func() {
-					resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
-					resps <- resp
-				}()
-			}
-			var rejected *http.Response
-			for i := 0; i < 5; i++ {
-				if resp := <-resps; resp.StatusCode == http.StatusServiceUnavailable {
-					rejected = resp
-				}
-			}
-			if rejected != nil {
-				check(t, rejected, "3")
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("never provoked a queue-full 503")
-			}
+		s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 1, RetryAfter: 3 * time.Second}, "h2", h2Net(t), numfmt.FP32)
+		m := holdModel(t, s, "h2")
+		in := PredictRequest{Model: "h2", Inputs: [][]float64{make([]float64, 9)}}
+		first := predictAsync(t, ts, in)
+		waitUntil(t, "the first request to be admitted", func() bool { return m.admitted.Load() == 1 })
+		resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
+		check(t, resp, "3")
+		holdWorkers(m, false)
+		if r := <-first; r.code != http.StatusOK {
+			t.Fatalf("admitted request finished with %d, want 200: %s", r.code, r.body)
 		}
 	})
 

@@ -249,8 +249,7 @@ func TestServeBenchHarnessSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test")
 	}
-	s := New(Config{Workers: 1, MaxBatch: 8, FlushInterval: time.Millisecond,
-		QueueCap: 256, RequestTimeout: 30 * time.Second})
+	s := New(Config{Workers: 1, MaxBatch: 8, QueueCap: 256, RequestTimeout: 30 * time.Second})
 	registerNet(t, s, "h2", h2Net(t), numfmt.FP32)
 	defer s.Close()
 	st := runLoad(t, s, 4, 5)

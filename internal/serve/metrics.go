@@ -23,16 +23,19 @@ type metrics struct {
 
 	batchSize *histogram // samples per executed batch
 	latency   *histogram // successful request latency, seconds
+	queueWait *histogram // admission to a worker taking the request's first sample, seconds
 }
 
 func newMetrics() *metrics {
+	seconds := []float64{
+		50e-6, 100e-6, 250e-6, 500e-6,
+		1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
+		1, 2.5, 5, 10,
+	}
 	return &metrics{
 		batchSize: newHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256),
-		latency: newHistogram(
-			50e-6, 100e-6, 250e-6, 500e-6,
-			1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
-			1, 2.5, 5, 10,
-		),
+		latency:   newHistogram(seconds...),
+		queueWait: newHistogram(seconds...),
 	}
 }
 
@@ -136,12 +139,15 @@ type Snapshot struct {
 	QueueDepth int     `json:"queue_depth"`
 	Draining   bool    `json:"draining"`
 
-	LatencyP50ms float64 `json:"latency_p50_ms"`
-	LatencyP95ms float64 `json:"latency_p95_ms"`
-	LatencyP99ms float64 `json:"latency_p99_ms"`
+	LatencyP50ms   float64 `json:"latency_p50_ms"`
+	LatencyP95ms   float64 `json:"latency_p95_ms"`
+	LatencyP99ms   float64 `json:"latency_p99_ms"`
+	QueueWaitP50ms float64 `json:"queue_wait_p50_ms"`
+	QueueWaitP99ms float64 `json:"queue_wait_p99_ms"`
 
-	BatchSizeHist []Bucket `json:"batch_size_hist"`
-	LatencyHistMS []Bucket `json:"latency_hist_ms"`
+	BatchSizeHist   []Bucket `json:"batch_size_hist"`
+	LatencyHistMS   []Bucket `json:"latency_hist_ms"`
+	QueueWaitHistMS []Bucket `json:"queue_wait_hist_ms"`
 
 	Models map[string]ModelStats `json:"models"`
 }
@@ -150,20 +156,23 @@ type Snapshot struct {
 func (s *Server) Metrics() Snapshot {
 	m := s.metrics
 	snap := Snapshot{
-		Requests:      m.requests.Load(),
-		OK:            m.ok.Load(),
-		Rejected:      m.rejected.Load(),
-		TimedOut:      m.timedOut.Load(),
-		Failed:        m.failed.Load(),
-		Samples:       m.samples.Load(),
-		Batches:       m.batches.Load(),
-		Draining:      s.draining.Load(),
-		LatencyP50ms:  m.latency.quantile(0.50) * 1e3,
-		LatencyP95ms:  m.latency.quantile(0.95) * 1e3,
-		LatencyP99ms:  m.latency.quantile(0.99) * 1e3,
-		BatchSizeHist: m.batchSize.buckets(1),
-		LatencyHistMS: m.latency.buckets(1e3),
-		Models:        make(map[string]ModelStats),
+		Requests:        m.requests.Load(),
+		OK:              m.ok.Load(),
+		Rejected:        m.rejected.Load(),
+		TimedOut:        m.timedOut.Load(),
+		Failed:          m.failed.Load(),
+		Samples:         m.samples.Load(),
+		Batches:         m.batches.Load(),
+		Draining:        s.draining.Load(),
+		LatencyP50ms:    m.latency.quantile(0.50) * 1e3,
+		LatencyP95ms:    m.latency.quantile(0.95) * 1e3,
+		LatencyP99ms:    m.latency.quantile(0.99) * 1e3,
+		QueueWaitP50ms:  m.queueWait.quantile(0.50) * 1e3,
+		QueueWaitP99ms:  m.queueWait.quantile(0.99) * 1e3,
+		BatchSizeHist:   m.batchSize.buckets(1),
+		LatencyHistMS:   m.latency.buckets(1e3),
+		QueueWaitHistMS: m.queueWait.buckets(1e3),
+		Models:          make(map[string]ModelStats),
 	}
 	if snap.Batches > 0 {
 		snap.BatchMean = float64(snap.Samples) / float64(snap.Batches)
@@ -178,7 +187,7 @@ func (s *Server) Metrics() Snapshot {
 	sort.Strings(names)
 	for _, name := range names {
 		md := s.models[name]
-		depth := len(md.queue)
+		depth := int(md.depth.Load())
 		snap.QueueDepth += depth
 		snap.Models[name] = ModelStats{
 			Format:     md.art.Format.String(),

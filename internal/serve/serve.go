@@ -4,24 +4,19 @@
 //
 // Architecture (all stdlib):
 //
-//	handler -> bounded admission queue -> dynamic micro-batcher -> worker pool
-//	            (503 + Retry-After        (flush on max batch      (one compiled
-//	             when full)                size or deadline)         Engine each)
+//	handler -> per-model request FIFO -> worker pool
+//	            (503 + Retry-After       (each idle worker takes up to MaxBatch
+//	             when full)               samples; one compiled Engine each)
 //
 // Each registered model is an ahead-of-time artifact (internal/artifact)
-// and owns one admission queue, one batcher goroutine and Config.Workers
-// worker goroutines. A worker holds a private inference engine bound from
-// the artifact's compiled program (Program.Bind) rather than a full
-// nn.Network clone: engines share the served network's weights as
-// read-only views — no per-worker weight duplication, no backward-cache
-// baggage — while each engine's private buffer arena gives the worker
-// the mutable per-call state a shared *nn.Network cannot (Forward on a
-// network caches per-layer state for Backward). Engine.Forward is
+// and owns one request FIFO and Config.Workers workers. A worker holds a
+// private inference engine bound from the artifact's compiled program:
+// engines share the served weights read-only, and Engine.Forward is
 // bit-identical to Network.Forward, so the model's error-flow analysis
-// applies to the served path verbatim. The batcher gives the service its
-// throughput: requests arriving within FlushInterval of each other are
-// coalesced into one (features x batch) forward pass, amortizing
-// per-call dispatch and allocation overhead across the batch.
+// applies to the served path verbatim. Batching is work-conserving:
+// requests coalesce into one (features x batch) forward pass exactly when
+// they queued up behind busy workers, and an idle server answers a lone
+// request at once — there is no flush timer.
 //
 // Error budgets: a request may carry a QoI tolerance (and optionally the
 // input reconstruction error of a lossy-compressed payload). The server
@@ -50,14 +45,12 @@ import (
 // Config tunes the service. The zero value is usable; every field has a
 // production-shaped default.
 type Config struct {
-	// MaxBatch is the micro-batcher's maximum batch size (default 32).
-	// 1 disables coalescing: every request runs as its own forward pass.
+	// MaxBatch is the most samples a worker packs into one forward pass
+	// (default 32). 1 disables coalescing: every sample runs alone.
 	MaxBatch int
-	// FlushInterval is how long the batcher waits for more requests
-	// after the first one before flushing a partial batch (default 2ms).
-	FlushInterval time.Duration
-	// QueueCap bounds the per-model admission queue (default 1024). A
-	// full queue rejects with 503 + Retry-After instead of blocking.
+	// QueueCap bounds the samples queued per model and not yet taken by a
+	// worker (default 1024). A request that does not fit is rejected
+	// whole with 503 + Retry-After instead of blocking.
 	QueueCap int
 	// Workers is the number of compiled inference engines serving each model
 	// (default 4).
@@ -75,9 +68,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 1024
@@ -116,8 +106,8 @@ type Server struct {
 	mu       sync.RWMutex
 	models   map[string]*model
 	draining atomic.Bool
-	closed   chan struct{}
 	once     sync.Once
+	workers  sync.WaitGroup // every model's workers
 }
 
 // New builds a server (no listening socket; mount Server.Handler).
@@ -127,7 +117,6 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		metrics: newMetrics(),
 		models:  make(map[string]*model),
-		closed:  make(chan struct{}),
 	}
 }
 
@@ -145,30 +134,39 @@ type model struct {
 	inDim    int
 	outDim   int
 
-	queue chan *item   // admission queue (bounded)
-	work  chan []*item // batcher -> workers (unbuffered: backpressure)
-
-	enqMu  sync.RWMutex // guards queue close vs. concurrent sends
+	mu     sync.Mutex
+	cond   *sync.Cond // signalled when the FIFO gains work or the model closes
+	fifo   []*request // admitted requests with samples not yet taken, oldest first
 	closed bool
-
-	wg sync.WaitGroup // batcher + workers
+	held   bool // tests only: while set, workers take nothing
 
 	requests atomic.Int64
 	samples  atomic.Int64
 	admitted atomic.Int64 // samples accepted into queue (counted at admission, not completion)
+	depth    atomic.Int64 // admitted samples no worker has taken yet (written under mu)
 
 	srv *Server
 }
 
-// item is one sample travelling through the batcher. done is closed by
-// exactly one of: a worker (out or err set) or the skip path for an
-// expired context.
-type item struct {
-	ctx  context.Context
-	x    []float64
-	out  []float64
-	err  error
-	done chan struct{}
+// request is one admitted predict call. Workers take its samples in
+// order (next is guarded by the model's mu) and write sample i's result
+// to out[i*outDim:]. done is closed once no sample is pending: all ran,
+// or the rest were dropped because ctx expired.
+type request struct {
+	ctx      context.Context
+	in       [][]float64
+	out      []float64
+	next     int
+	pending  atomic.Int64
+	admitted time.Time
+	done     chan struct{}
+}
+
+// resolve marks n of r's samples finished.
+func (r *request) resolve(n int) {
+	if r.pending.Add(-int64(n)) == 0 {
+		close(r.done)
+	}
 }
 
 // RegisterArtifact adds a named model served from an ahead-of-time
@@ -208,10 +206,9 @@ func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 		analysis: core.Analyze(art.Root, steps),
 		inDim:    art.Net.InputDim,
 		outDim:   engines[0].OutputDim(),
-		queue:    make(chan *item, s.cfg.QueueCap),
-		work:     make(chan []*item),
 		srv:      s,
 	}
+	m.cond = sync.NewCond(&m.mu)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,10 +222,9 @@ func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 	}
 	s.models[m.name] = m
 
-	m.wg.Add(1 + len(engines))
-	go m.batchLoop(s.cfg.MaxBatch, s.cfg.FlushInterval)
+	s.workers.Add(len(engines))
 	for _, eng := range engines {
-		go m.workLoop(eng)
+		go m.workLoop(eng, s.cfg.MaxBatch)
 	}
 	return nil
 }
@@ -263,82 +259,78 @@ func (s *Server) QueueDepth() int {
 	defer s.mu.RUnlock()
 	depth := 0
 	for _, m := range s.models {
-		depth += len(m.queue) //lint:ignore maporder integer addition commutes; the sum is order-independent
+		depth += int(m.depth.Load()) //lint:ignore maporder integer addition commutes; the sum is order-independent
 	}
 	return depth
 }
 
 // Close drains the server: new requests are rejected with 503, every
-// already-admitted request is executed to completion, and all batcher
-// and worker goroutines exit before Close returns. Safe to call more
-// than once.
+// already-admitted request is executed to completion, and all worker
+// goroutines exit before Close returns. Safe to call more than once.
 func (s *Server) Close() {
 	s.once.Do(func() {
 		s.mu.Lock()
 		s.draining.Store(true)
-		models := make([]*model, 0, len(s.models))
 		for _, m := range s.models {
-			models = append(models, m) //lint:ignore maporder shutdown order is observationally irrelevant: every queue is closed before any wait
+			m.mu.Lock()
+			m.closed = true
+			m.mu.Unlock()
+			m.cond.Broadcast()
 		}
 		s.mu.Unlock()
-		for _, m := range models {
-			m.enqMu.Lock()
-			m.closed = true
-			close(m.queue)
-			m.enqMu.Unlock()
-		}
-		for _, m := range models {
-			m.wg.Wait()
-		}
-		close(s.closed)
+		// No worker starts after draining is set under s.mu (RegisterArtifact
+		// re-checks it there), so this Wait sees every Add.
+		s.workers.Wait()
 	})
-	<-s.closed
 }
 
-// enqueue admits one item without blocking.
-func (m *model) enqueue(it *item) error {
-	m.enqMu.RLock()
-	defer m.enqMu.RUnlock()
+// admit appends r to the FIFO without blocking. It reserves all of r's
+// samples against QueueCap or none: a request that does not fit is
+// rejected whole, so no sample of a rejected request ever executes.
+func (m *model) admit(r *request) error {
+	n := len(r.in)
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return ErrDraining
 	}
-	select {
-	case m.queue <- it:
-		// Counted at admission (requests/samples count at completion), so
-		// observers — drain tests, operators watching a wedged model — can
-		// distinguish "accepted but stuck" from "never arrived".
-		m.admitted.Add(1)
-		return nil
-	default:
+	if m.depth.Load()+int64(n) > int64(m.srv.cfg.QueueCap) {
 		return ErrBusy
 	}
+	r.admitted = time.Now()
+	m.fifo = append(m.fifo, r)
+	m.depth.Add(int64(n))
+	// Counted at admission (requests/samples count at completion), so
+	// observers — drain tests, operators watching a wedged model — can
+	// distinguish "accepted but stuck" from "never arrived".
+	m.admitted.Add(int64(n))
+	m.cond.Signal()
+	return nil
 }
 
-// predict pushes samples through the batcher and waits for every result
-// (or ctx expiry). Admission is all-or-nothing from the caller's view:
-// on a full queue the request is rejected, though samples admitted
-// before the rejection still execute and are discarded.
+// predict queues samples as one request and waits for every result (or
+// ctx expiry).
 func (m *model) predict(ctx context.Context, samples [][]float64) ([][]float64, error) {
-	items := make([]*item, len(samples))
-	for i, x := range samples {
-		items[i] = &item{ctx: ctx, x: x, done: make(chan struct{})}
+	r := &request{
+		ctx:  ctx,
+		in:   samples,
+		out:  make([]float64, len(samples)*m.outDim),
+		done: make(chan struct{}),
 	}
-	for _, it := range items {
-		if err := m.enqueue(it); err != nil {
-			return nil, err
-		}
+	r.pending.Store(int64(len(samples)))
+	if err := m.admit(r); err != nil {
+		return nil, err
 	}
-	outs := make([][]float64, len(items))
-	for i, it := range items {
-		select {
-		case <-it.done:
-			if it.err != nil {
-				return nil, it.err
-			}
-			outs[i] = it.out
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	select {
+	case <-r.done:
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	outs := make([][]float64, len(samples))
+	for i := range outs {
+		outs[i] = r.out[i*m.outDim : (i+1)*m.outDim : (i+1)*m.outDim]
 	}
 	m.requests.Add(1)
 	m.samples.Add(int64(len(samples)))

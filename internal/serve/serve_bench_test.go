@@ -180,7 +180,6 @@ func benchServer(tb testing.TB, maxBatch int) *Server {
 	s := New(Config{
 		Workers:        2,
 		MaxBatch:       maxBatch,
-		FlushInterval:  time.Millisecond,
 		QueueCap:       4096,
 		RequestTimeout: 30 * time.Second,
 	})
@@ -211,8 +210,7 @@ func TestMicroBatchingBeatsSingleAt64Clients(t *testing.T) {
 	single := New(Config{Workers: 2, MaxBatch: 1, QueueCap: 4096, RequestTimeout: 30 * time.Second})
 	registerNet(t, single, "h2", loadNet, numfmt.FP32)
 	defer single.Close()
-	batched := New(Config{Workers: 2, MaxBatch: 64, FlushInterval: time.Millisecond,
-		QueueCap: 4096, RequestTimeout: 30 * time.Second})
+	batched := New(Config{Workers: 2, MaxBatch: 64, QueueCap: 4096, RequestTimeout: 30 * time.Second})
 	registerNet(t, batched, "h2", loadNet, numfmt.FP32)
 	defer batched.Close()
 
@@ -279,8 +277,7 @@ func timeToFirst200(tb testing.TB, files map[string]string, f numfmt.Format) flo
 	tb.Helper()
 	one := func() float64 {
 		start := time.Now()
-		s := New(Config{Workers: 2, MaxBatch: 64, FlushInterval: time.Millisecond,
-			QueueCap: 4096, RequestTimeout: 30 * time.Second})
+		s := New(Config{Workers: 2, MaxBatch: 64, QueueCap: 4096, RequestTimeout: 30 * time.Second})
 		defer s.Close()
 		for name, path := range files {
 			art, _, err := artifact.Load(path, f)
@@ -399,7 +396,6 @@ func TestWriteServeBenchJSON(t *testing.T) {
 		"config": map[string]any{
 			"workers":   2,
 			"max_batch": 64,
-			"flush_ms":  1,
 			"queue_cap": 4096,
 		},
 		"requests_per_client":             perClient,
@@ -434,8 +430,7 @@ func BenchmarkServePredict(b *testing.B) {
 		maxBatch int
 	}{{"batched", 64}, {"single", 1}} {
 		b.Run(mode.name, func(b *testing.B) {
-			s := New(Config{Workers: 2, MaxBatch: mode.maxBatch, FlushInterval: time.Millisecond,
-				QueueCap: 4096, RequestTimeout: 30 * time.Second})
+			s := New(Config{Workers: 2, MaxBatch: mode.maxBatch, QueueCap: 4096, RequestTimeout: 30 * time.Second})
 			registerNet(b, s, "h2", h2Net(b), numfmt.FP32)
 			defer s.Close()
 			const clients = 64

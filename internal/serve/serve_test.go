@@ -2,9 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -33,33 +33,120 @@ func h2Net(t testing.TB) *nn.Network {
 	return net
 }
 
-// slowArtifact is sized so one forward pass costs tens of milliseconds
-// even on the blocked engine kernels: the backpressure/timeout/drain
-// tests need requests to observably pile up behind a busy worker, which
-// only holds when service time dwarfs goroutine-scheduling jitter. Its
-// build (spectral norms and step tables over ~35M weights) dominates
-// those tests, so it is built once and shared: an artifact is immutable
-// and any number of servers may register it.
-func slowArtifact(t testing.TB) *artifact.Artifact {
+// holdModel stops the named model's workers from taking work until the
+// test ends — the cheap stand-in for a busy engine that backpressure,
+// timeout and drain tests queue requests behind.
+func holdModel(t *testing.T, s *Server, name string) *model {
 	t.Helper()
-	slowOnce.Do(func() {
-		net, err := nn.MLPSpec("slow", []int{256, 4096, 4096, 4096, 8}, nn.ActReLU, false).Build(7)
-		if err == nil {
-			slowArt, err = artifact.Build(net, numfmt.FP32)
-		}
-		slowErr = err
-	})
-	if slowErr != nil {
-		t.Fatal(slowErr)
+	m, ok := s.model(name)
+	if !ok {
+		t.Fatalf("model %q not registered", name)
 	}
-	return slowArt
+	holdWorkers(m, true)
+	t.Cleanup(func() { holdWorkers(m, false) })
+	return m
 }
 
-var (
-	slowOnce sync.Once
-	slowArt  *artifact.Artifact
-	slowErr  error
-)
+// holdWorkers sets or clears the model's worker hold.
+func holdWorkers(m *model, on bool) {
+	m.mu.Lock()
+	m.held = on
+	m.mu.Unlock()
+	m.cond.Broadcast()
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// reply is one predict response as seen by a client.
+type reply struct {
+	code   int
+	header http.Header
+	body   []byte
+}
+
+// predictAsync posts req from its own goroutine and delivers the reply;
+// a transport error is reported with t.Error and delivered as code 0.
+func predictAsync(t *testing.T, ts *httptest.Server, req PredictRequest) <-chan reply {
+	t.Helper()
+	buf, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan reply, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Error(err)
+			out <- reply{}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		out <- reply{code: resp.StatusCode, header: resp.Header, body: body}
+	}()
+	return out
+}
+
+// randomInputs draws n seeded 9-feature rows.
+func randomInputs(seed int64, n int) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, 9)
+		for f := range rows[i] {
+			rows[i][f] = rng.NormFloat64()
+		}
+	}
+	return rows
+}
+
+// checkOutputs asserts a 200 reply holds net's exact outputs on inputs.
+func checkOutputs(t *testing.T, r reply, net *nn.Network, inputs [][]float64) {
+	t.Helper()
+	if r.code != http.StatusOK {
+		t.Fatalf("status %d: %s", r.code, r.body)
+	}
+	var pr PredictResponse
+	if err := json.Unmarshal(r.body, &pr); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Outputs) != len(inputs) {
+		t.Fatalf("got %d outputs for %d inputs", len(pr.Outputs), len(inputs))
+	}
+	for i, row := range inputs {
+		want := net.ForwardVec(row)
+		for f := range want {
+			if pr.Outputs[i][f] != want[f] {
+				t.Fatalf("output[%d][%d] = %v, want %v", i, f, pr.Outputs[i][f], want[f])
+			}
+		}
+	}
+}
+
+// histCount returns the count of the bucket with upper edge le.
+func histCount(t *testing.T, hist []Bucket, le string) int64 {
+	t.Helper()
+	for _, b := range hist {
+		if b.LE == le {
+			return b.Count
+		}
+	}
+	t.Fatalf("no bucket le=%s in %+v", le, hist)
+	return 0
+}
 
 // buildArtifact compiles net into an in-memory artifact serving format f.
 func buildArtifact(t testing.TB, net *nn.Network, f numfmt.Format) *artifact.Artifact {
@@ -231,103 +318,110 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestBackpressure503WithRetryAfter(t *testing.T) {
-	// One slow worker, batch size 1, a 2-deep queue: a burst must
-	// overflow admission and be rejected rather than block.
-	_, ts := serveArtifact(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 2, RetryAfter: 2 * time.Second}, "slow", slowArtifact(t))
+	// A held worker, batch size 1, a 2-deep queue: a burst must overflow
+	// admission and be rejected at once rather than block.
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 2, RetryAfter: 2 * time.Second}, "h2", h2Net(t), numfmt.FP32)
+	m := holdModel(t, s, "h2")
 
-	in := PredictRequest{Model: "slow", Inputs: [][]float64{make([]float64, 256)}}
-	const burst = 16
-	var ok503, okOther atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				if resp.Header.Get("Retry-After") == "" {
-					t.Error("503 without Retry-After header")
-				}
-				ok503.Add(1)
-			} else {
-				okOther.Add(1)
+	in := PredictRequest{Model: "h2", Inputs: [][]float64{make([]float64, 9)}}
+	const burst, queueCap = 16, 2
+	replies := make([]<-chan reply, burst)
+	for i := range replies {
+		replies[i] = predictAsync(t, ts, in)
+	}
+	// Nothing leaves the queue while the worker is held, so exactly
+	// queueCap requests are admitted and every other one is shed.
+	waitUntil(t, "the burst to be admitted or shed", func() bool {
+		return m.admitted.Load() == queueCap && s.metrics.rejected.Load() == burst-queueCap
+	})
+	holdWorkers(m, false)
+	var ok, busy int
+	for _, c := range replies {
+		r := <-c
+		switch r.code {
+		case http.StatusOK:
+			ok++
+		case http.StatusServiceUnavailable:
+			if r.header.Get("Retry-After") != "2" {
+				t.Errorf("503 with Retry-After %q, want \"2\"", r.header.Get("Retry-After"))
 			}
-		}()
+			busy++
+		default:
+			t.Errorf("unexpected status %d: %s", r.code, r.body)
+		}
 	}
-	wg.Wait()
-	if ok503.Load() == 0 {
-		t.Fatalf("no request was rejected: queue should overflow (got %d non-503)", okOther.Load())
-	}
-	if okOther.Load() == 0 {
-		t.Fatal("every request was rejected: admitted requests should still be served")
+	if ok != queueCap || busy != burst-queueCap {
+		t.Fatalf("%d served and %d shed, want %d and %d", ok, busy, queueCap, burst-queueCap)
 	}
 }
 
+// TestRequestTimeout504 queues requests behind a held worker until they
+// outlive their deadline: each must be a 504, and none of them may run
+// once the worker is let go.
 func TestRequestTimeout504(t *testing.T) {
-	_, ts := serveArtifact(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 64, RequestTimeout: time.Millisecond}, "slow", slowArtifact(t))
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1, QueueCap: 64, RequestTimeout: 100 * time.Millisecond}, "h2", h2Net(t), numfmt.FP32)
+	m := holdModel(t, s, "h2")
 
-	// Pile several requests on the single slow worker so later ones
-	// exceed the 1ms deadline while queued.
-	in := PredictRequest{Model: "slow", Inputs: [][]float64{make([]float64, 256)}}
-	var timeouts atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
-			if resp.StatusCode == http.StatusGatewayTimeout {
-				timeouts.Add(1)
-			}
-		}()
+	in := PredictRequest{Model: "h2", Inputs: [][]float64{make([]float64, 9)}}
+	const queued = 8
+	replies := make([]<-chan reply, queued)
+	for i := range replies {
+		replies[i] = predictAsync(t, ts, in)
 	}
-	wg.Wait()
-	if timeouts.Load() == 0 {
-		t.Fatal("no request timed out despite a 1ms deadline on a multi-ms model")
+	for _, c := range replies {
+		if r := <-c; r.code != http.StatusGatewayTimeout {
+			t.Fatalf("queued request finished with %d, want 504: %s", r.code, r.body)
+		}
 	}
+	holdWorkers(m, false)
+	// The FIFO hands the expired requests to the worker before this one;
+	// it drops them unexecuted.
+	if resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in); resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-release predict: status %d: %s", resp.StatusCode, body)
+	}
+	snap := s.Metrics()
+	if snap.TimedOut != queued || snap.Samples != 1 || snap.Batches != 1 {
+		t.Fatalf("timedout_total %d, samples_total %d, batches_total %d; want %d, 1, 1",
+			snap.TimedOut, snap.Samples, snap.Batches, queued)
+	}
+}
+
+// drainWhileHeld holds the model's workers, queues n single-sample
+// requests, and starts Close. It returns once the server is draining,
+// with every request admitted and none executed; closed is closed when
+// Close returns.
+func drainWhileHeld(t *testing.T, s *Server, ts *httptest.Server, name string, n int) (replies []<-chan reply, closed <-chan struct{}) {
+	t.Helper()
+	m := holdModel(t, s, name)
+	in := PredictRequest{Model: name, Inputs: [][]float64{make([]float64, 9)}}
+	for i := 0; i < n; i++ {
+		replies = append(replies, predictAsync(t, ts, in))
+	}
+	waitUntil(t, "every request to be admitted", func() bool { return m.admitted.Load() == int64(n) })
+	done := make(chan struct{})
+	go func() {
+		s.Close()
+		close(done)
+	}()
+	waitUntil(t, "the drain to start", s.Draining)
+	return replies, done
 }
 
 func TestGracefulDrain(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 4, QueueCap: 64})
-	if err := s.RegisterArtifact("slow", slowArtifact(t)); err != nil {
-		t.Fatal(err)
-	}
+	registerNet(t, s, "h2", h2Net(t), numfmt.FP32)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Admit a few requests, then drain while they are in flight.
-	in := PredictRequest{Model: "slow", Inputs: [][]float64{make([]float64, 256)}}
+	// Admit a few requests, then drain while they wait on the worker.
 	const inflight = 4
-	codes := make(chan int, inflight)
-	var wg sync.WaitGroup
-	for i := 0; i < inflight; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
-			codes <- resp.StatusCode
-		}()
-	}
-	// Wait until every request is observably admitted — the enqueue path
-	// counts admissions atomically — instead of hoping a fixed sleep was
-	// long enough for the HTTP handlers to reach the queue.
-	m, ok := s.model("slow")
-	if !ok {
-		t.Fatal("model not registered")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for m.admitted.Load() < inflight {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests admitted before deadline", m.admitted.Load(), inflight)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Close()
+	replies, closed := drainWhileHeld(t, s, ts, "h2", inflight)
 
-	// After Close returns, new work is refused...
+	// While draining, new work is refused...
+	in := PredictRequest{Model: "h2", Inputs: [][]float64{make([]float64, 9)}}
 	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain predict: status %d, want 503", resp.StatusCode)
+		t.Fatalf("draining predict: status %d, want 503", resp.StatusCode)
 	}
 	hresp, err := ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -335,14 +429,20 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	hresp.Body.Close()
 	if hresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain healthz: status %d, want 503", hresp.StatusCode)
+		t.Fatalf("draining healthz: status %d, want 503", hresp.StatusCode)
 	}
-	// ...and every admitted request completed normally.
-	wg.Wait()
-	close(codes)
-	for code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("in-flight request finished with %d, want 200", code)
+	// ...and Close waits for the admitted work.
+	select {
+	case <-closed:
+		t.Fatal("Close returned with admitted requests still queued")
+	default:
+	}
+	m, _ := s.model("h2")
+	holdWorkers(m, false)
+	<-closed
+	for _, c := range replies {
+		if r := <-c; r.code != http.StatusOK {
+			t.Fatalf("in-flight request finished with %d, want 200: %s", r.code, r.body)
 		}
 	}
 	if err := s.RegisterArtifact("late", buildArtifact(t, h2Net(t), numfmt.FP32)); err == nil {
@@ -351,58 +451,115 @@ func TestGracefulDrain(t *testing.T) {
 	s.Close() // idempotent
 }
 
-// TestDrainFlushesPartialBatch parks a request inside the batcher's
-// coalescing wait (a 30s FlushInterval no test could sit out) and then
-// drains: Close must flush the partial batch immediately via the queue
-// close rather than wait for the flush timer, complete the in-flight
-// request with 200, and reject new work with 503.
+// TestDrainFlushesPartialBatch queues a partial batch behind a busy
+// worker and drains: Close must run the queued samples as they stand —
+// one batch of 3 at MaxBatch 32, never waiting for the batch to fill —
+// complete every request with 200, and refuse new work with 503.
 func TestDrainFlushesPartialBatch(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 32, FlushInterval: 30 * time.Second,
-		QueueCap: 64, RequestTimeout: time.Minute})
+	s := New(Config{Workers: 1, MaxBatch: 32, QueueCap: 64, RequestTimeout: time.Minute})
 	registerNet(t, s, "h2", h2Net(t), numfmt.FP32)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Park one item: enqueue is synchronous, so after it returns the item
-	// is in the queue; once the queue length drops to zero the batcher has
-	// pulled it and is (or is about to be) blocked coalescing.
-	m, ok := s.model("h2")
-	if !ok {
-		t.Fatal("model not registered")
-	}
-	it := &item{ctx: context.Background(), x: make([]float64, 9), done: make(chan struct{})}
-	if err := m.enqueue(it); err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for len(m.queue) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("batcher never pulled the parked item")
+	const queued = 3
+	replies, closed := drainWhileHeld(t, s, ts, "h2", queued)
+	m, _ := s.model("h2")
+	holdWorkers(m, false)
+	<-closed
+	for _, c := range replies {
+		if r := <-c; r.code != http.StatusOK {
+			t.Fatalf("queued request finished with %d, want 200: %s", r.code, r.body)
 		}
-		time.Sleep(time.Millisecond)
 	}
-
-	start := time.Now()
-	s.Close()
-	closeTook := time.Since(start)
-	// Close must not sit out the 30s flush timer: the queue close is what
-	// wakes fillBatch. Generous slack for a loaded CI box, but far below
-	// the interval.
-	if closeTook > 10*time.Second {
-		t.Fatalf("Close took %v: drain waited on the flush timer", closeTook)
-	}
-	select {
-	case <-it.done:
-		if it.err != nil || len(it.out) == 0 {
-			t.Fatalf("parked item finished err=%v out=%v, want a result", it.err, it.out)
-		}
-	default:
-		t.Fatal("parked item still unresolved after Close returned")
+	snap := s.Metrics()
+	if snap.Batches != 1 || snap.Samples != queued || histCount(t, snap.BatchSizeHist, "4") != 1 {
+		t.Fatalf("drain ran %d batches of %d samples (hist %+v), want one batch of %d",
+			snap.Batches, snap.Samples, snap.BatchSizeHist, queued)
 	}
 	in := PredictRequest{Model: "h2", Inputs: [][]float64{make([]float64, 9)}}
 	resp, _ := postJSON(t, ts.Client(), ts.URL+"/v1/predict", in)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain predict: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestQueuedRequestsCoalesce: single-sample requests that queue up while
+// the only worker is busy run as one batch once it frees, with outputs
+// bit-identical to a direct forward pass.
+func TestQueuedRequestsCoalesce(t *testing.T) {
+	net := h2Net(t)
+	s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 32}, "h2", net, numfmt.FP32)
+	m := holdModel(t, s, "h2")
+
+	const n = 8
+	inputs := randomInputs(5, n)
+	replies := make([]<-chan reply, n)
+	for i := range replies {
+		replies[i] = predictAsync(t, ts, PredictRequest{Model: "h2", Inputs: inputs[i : i+1]})
+	}
+	waitUntil(t, "every request to be admitted", func() bool { return m.admitted.Load() == n })
+	holdWorkers(m, false)
+	for i, c := range replies {
+		checkOutputs(t, <-c, net, inputs[i:i+1])
+	}
+	snap := s.Metrics()
+	if snap.Batches != 1 || histCount(t, snap.BatchSizeHist, "8") != 1 {
+		t.Fatalf("%d queued requests ran as %d batches (hist %+v), want one batch of %d",
+			n, snap.Batches, snap.BatchSizeHist, n)
+	}
+}
+
+// TestLargeRequestSplitsIntoFullBatches: a request enters the FIFO whole,
+// so 256 samples at MaxBatch 32 run as exactly 8 full batches, spread
+// over the worker pool, with the same outputs as a direct forward pass.
+func TestLargeRequestSplitsIntoFullBatches(t *testing.T) {
+	net := h2Net(t)
+	s, ts := newTestServer(t, Config{MaxBatch: 32}, "h2", net, numfmt.FP32)
+
+	inputs := randomInputs(9, 256)
+	resp, body := postJSON(t, ts.Client(), ts.URL+"/v1/predict", PredictRequest{Model: "h2", Inputs: inputs})
+	checkOutputs(t, reply{code: resp.StatusCode, body: body}, net, inputs)
+	snap := s.Metrics()
+	if snap.Batches != 8 || snap.Samples != 256 || histCount(t, snap.BatchSizeHist, "32") != 8 {
+		t.Fatalf("256 samples ran as %d batches of %d samples (hist %+v), want 8 batches of 32",
+			snap.Batches, snap.Samples, snap.BatchSizeHist)
+	}
+}
+
+// TestAdmissionAllOrNothing: two requests whose samples together exceed
+// QueueCap get one 200 and one 503, and no sample of the rejected one is
+// executed.
+func TestAdmissionAllOrNothing(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8}, "h2", h2Net(t), numfmt.FP32)
+	m := holdModel(t, s, "h2")
+
+	const n = 5
+	a := predictAsync(t, ts, PredictRequest{Model: "h2", Inputs: randomInputs(1, n)})
+	b := predictAsync(t, ts, PredictRequest{Model: "h2", Inputs: randomInputs(2, n)})
+	waitUntil(t, "one request admitted and one shed", func() bool {
+		return m.admitted.Load() == n && s.metrics.rejected.Load() == 1
+	})
+	holdWorkers(m, false)
+	codes := map[int]int{}
+	for _, c := range []<-chan reply{a, b} {
+		codes[(<-c).code]++
+	}
+	if codes[http.StatusOK] != 1 || codes[http.StatusServiceUnavailable] != 1 {
+		t.Fatalf("status codes %v, want one 200 and one 503", codes)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	ms := snap.Models["h2"]
+	if snap.Samples != n || ms.Admitted != n || snap.QueueDepth != 0 {
+		t.Fatalf("samples_total %d, admitted_total %d, queue_depth %d; want %d, %d, 0",
+			snap.Samples, ms.Admitted, snap.QueueDepth, n, n)
 	}
 }
 
@@ -548,6 +705,15 @@ func TestMetricsReconcile(t *testing.T) {
 	}
 	if snap.LatencyP50ms <= 0 || snap.LatencyP99ms < snap.LatencyP50ms {
 		t.Fatalf("implausible latency percentiles: p50=%v p99=%v", snap.LatencyP50ms, snap.LatencyP99ms)
+	}
+	// Every executed request waited in the queue exactly once.
+	var waits int64
+	for _, b := range snap.QueueWaitHistMS {
+		waits += b.Count
+	}
+	if waits != snap.OK || snap.QueueWaitP50ms <= 0 || snap.QueueWaitP99ms < snap.QueueWaitP50ms {
+		t.Fatalf("queue-wait histogram holds %d waits for %d requests (p50=%v p99=%v)",
+			waits, snap.OK, snap.QueueWaitP50ms, snap.QueueWaitP99ms)
 	}
 
 	// The /metrics endpoint serves the same snapshot shape.
