@@ -34,17 +34,20 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout=35m ./...
 
-# ~24s total fuzz smoke, 3s per target: enough to catch a freshly
+# ~33s total fuzz smoke, 3s per target: enough to catch a freshly
 # introduced panic without stalling CI. Targets are pkg:Fuzz pairs;
 # FuzzDecodeContainer exercises the checksummed v2 container framing
-# (with v1 seeds for the legacy path), FuzzDecodeCheckpoint the
-# crash-safe checkpoint decoder, and the two tensor targets are the
-# differential kernel fuzzers: blocked/fused engine kernels must stay
-# byte-exact against the naive reference loops over random shapes.
+# (with v1 seeds for the legacy path), FuzzUnframe the integrity frame
+# every other durable format shares, the checkpoint, score
+# manifest/cursor, gateway registry and artifact targets the decoders
+# built on it, and the two tensor targets are the differential kernel
+# fuzzers: blocked/fused engine kernels must stay byte-exact against
+# the naive reference loops over random shapes.
 FUZZ_TARGETS = \
 	./internal/compress:FuzzDecodeContainer \
 	./internal/compress:FuzzHuffmanDecode \
 	./internal/compress:FuzzSZRoundTrip \
+	./internal/integrity:FuzzUnframe \
 	./internal/checkpoint:FuzzDecodeCheckpoint \
 	./internal/score:FuzzDecodeManifest \
 	./internal/score:FuzzDecodeCursor \

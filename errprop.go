@@ -118,8 +118,8 @@ type CheckpointState = checkpoint.State
 type CheckpointLoop = checkpoint.Loop
 
 // SaveCheckpoint atomically writes a checkpoint into dir (temp file +
-// fsync + rename: a crash mid-write never leaves a half checkpoint that
-// a later resume could read).
+// fsync + rename + directory fsync: a crash mid-write never leaves a
+// half checkpoint that a later resume could read).
 func SaveCheckpoint(dir string, st *CheckpointState) (string, error) {
 	return checkpoint.Save(dir, st)
 }
@@ -425,7 +425,8 @@ func BuildArtifact(net *Network, f Format) (*Artifact, error) { return artifact.
 // artifact.
 func DecodeArtifact(raw []byte) (*Artifact, error) { return artifact.Decode(raw) }
 
-// WriteArtifactFile writes an artifact atomically (temp, fsync, rename).
+// WriteArtifactFile writes an artifact atomically (temp, fsync, rename,
+// directory fsync).
 func WriteArtifactFile(path string, a *Artifact) error { return artifact.WriteFile(path, a) }
 
 // ReadArtifactFile reads and fully verifies an artifact file.
@@ -480,7 +481,7 @@ type GatewayMetrics = gateway.Snapshot
 func NewGateway(cfg GatewayConfig) *Gateway { return gateway.New(cfg) }
 
 // WriteGatewayRegistry atomically writes a checksummed registry
-// manifest (temp file + fsync + rename).
+// manifest (temp file + fsync + rename + directory fsync).
 func WriteGatewayRegistry(path string, reg *GatewayRegistry) error {
 	return gateway.WriteRegistryFile(path, reg)
 }

@@ -16,8 +16,7 @@
 //   - the certified quantization bound at the serving format, pinned at
 //     build time and re-verified bit-for-bit at load.
 //
-// Framing follows the repo's container convention (internal/integrity):
-// magic, u64 body length, u32 CRC32C, body. Decode is
+// The file is one internal/integrity frame under Magic. Decode is
 // detect-or-refuse: any damage surfaces as a typed integrity error,
 // and any decodable byte string re-encodes to itself (canonical form),
 // so the format cannot drift silently — future layouts must bump the
@@ -26,11 +25,9 @@ package artifact
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 
 	"github.com/scidata/errprop/internal/core"
 	"github.com/scidata/errprop/internal/integrity"
@@ -185,11 +182,7 @@ func (a *Artifact) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, len(Magic)+12+len(body))
-	out = append(out, Magic...)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, integrity.Checksum(body))
-	return append(out, body...), nil
+	return integrity.Frame(Magic, body), nil
 }
 
 func (a *Artifact) encodeBody() ([]byte, error) {
@@ -212,30 +205,13 @@ func (a *Artifact) encodeBody() ([]byte, error) {
 	return w.buf.Bytes(), nil
 }
 
-// WriteFile writes the artifact atomically: temp file, fsync, rename.
+// WriteFile writes the artifact atomically (integrity.WriteFileAtomic).
 func WriteFile(path string, a *Artifact) error {
 	raw, err := a.Encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".aot-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return integrity.WriteFileAtomic(path, raw)
 }
 
 // ReadFile reads and fully verifies an artifact file.
@@ -264,7 +240,7 @@ func Load(path string, f numfmt.Format) (a *Artifact, built bool, err error) {
 		}
 		return a, false, nil
 	}
-	net, err := nn.Load(bytes.NewReader(raw))
+	net, err := nn.DecodeModel(raw)
 	if err != nil {
 		return nil, false, fmt.Errorf("loading %s: %w", path, err)
 	}
@@ -287,7 +263,7 @@ func corrupt(format string, args ...any) error {
 
 // Decode parses and verifies an artifact:
 //
-//  1. frame: magic, declared length, CRC32C over the body;
+//  1. frame: the integrity frame (magic, declared length, CRC32C);
 //  2. structure: every section decodes within its caps;
 //  3. canonical form: the parsed content re-encodes to exactly the
 //     input bytes (so decode/encode is a byte bijection);
@@ -298,27 +274,9 @@ func corrupt(format string, args ...any) error {
 // Any failure is a typed integrity error; Decode never returns a
 // partially trusted artifact.
 func Decode(raw []byte) (*Artifact, error) {
-	headerLen := len(Magic) + 12
-	if len(raw) < headerLen {
-		return nil, fmt.Errorf("artifact: %w: header", integrity.ErrTruncated)
-	}
-	if !SniffMagic(raw) {
-		return nil, corrupt("bad magic %q", raw[:len(Magic)])
-	}
-	bodyLen := binary.LittleEndian.Uint64(raw[len(Magic):])
-	if bodyLen > maxArtifactBytes {
-		return nil, corrupt("declared body length %d exceeds %d", bodyLen, int64(maxArtifactBytes))
-	}
-	crc := binary.LittleEndian.Uint32(raw[len(Magic)+8:])
-	body := raw[headerLen:]
-	if uint64(len(body)) < bodyLen {
-		return nil, fmt.Errorf("artifact: %w: body has %d of %d declared bytes", integrity.ErrTruncated, len(body), bodyLen)
-	}
-	if uint64(len(body)) > bodyLen {
-		return nil, corrupt("%d trailing bytes after declared body", uint64(len(body))-bodyLen)
-	}
-	if got := integrity.Checksum(body); got != crc {
-		return nil, corrupt("body checksum %08x != stored %08x", got, crc)
+	_, body, crc, err := integrity.Unframe(raw, maxArtifactBytes, Magic)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
 
 	r := &bodyReader{raw: body}
@@ -340,7 +298,7 @@ func Decode(raw []byte) (*Artifact, error) {
 	if math.IsNaN(quantBound) || math.IsInf(quantBound, 0) || quantBound < 0 {
 		return nil, corrupt("non-finite or negative certified bound %v", quantBound)
 	}
-	net, err := nn.Load(bytes.NewReader(modelRaw))
+	net, err := nn.DecodeModel(modelRaw)
 	if err != nil {
 		return nil, fmt.Errorf("artifact: embedded model: %w", err)
 	}

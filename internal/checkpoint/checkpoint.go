@@ -6,16 +6,12 @@
 // resumed from its last checkpoint produces a weight trajectory exactly
 // equal (==, not approximately) to the uninterrupted run.
 //
-// Durability has two layers:
-//
-//   - The encoding frames the body with a declared length and a CRC32C
-//     checksum (like the compress container and model v3), so damaged
-//     bytes decode to a typed integrity error, never to silently wrong
-//     training state.
-//   - Save is atomic: the bytes are written to a temp file in the target
-//     directory, fsynced, renamed over the final name, and the directory
-//     is fsynced. A crash mid-save leaves either the old checkpoint set
-//     or the new one — never a half-written file under a final name.
+// Durability comes from internal/integrity: the body is stored in its
+// checksummed frame, so damaged bytes decode to a typed integrity error,
+// never to silently wrong training state; checkpoints are numbered
+// generations (step-<step>.ckpt) written atomically, so a crash mid-save
+// leaves the old checkpoint set or the new one; and LoadLatest recovers
+// from the newest intact one.
 package checkpoint
 
 import (
@@ -23,9 +19,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"github.com/scidata/errprop/internal/integrity"
 	"github.com/scidata/errprop/internal/nn"
@@ -58,11 +51,13 @@ const (
 	// cannot size an absurd allocation.
 	maxBody = 1 << 30
 	// Ext is the checkpoint file extension.
-	Ext    = ".ckpt"
-	tmpExt = ".ckpt.tmp"
+	Ext = ".ckpt"
 )
 
-// Encode serializes st into the checksummed frame.
+// generations names checkpoint files step-<step as %012d>.ckpt.
+var generations = integrity.Generations{Prefix: "step-", Ext: Ext}
+
+// Encode serializes st into its integrity frame.
 //
 //errprop:deterministic the frame is a pure function of the state, so checksums are reproducible
 func Encode(st *State) ([]byte, error) {
@@ -101,14 +96,7 @@ func Encode(st *State) ([]byte, error) {
 	for _, s := range tr.Opt.Slots {
 		vec(s)
 	}
-
-	body := b.Bytes()
-	out := bytes.NewBuffer(make([]byte, 0, len(magic)+12+len(body)))
-	out.WriteString(magic)
-	binary.Write(out, binary.LittleEndian, uint64(len(body)))
-	binary.Write(out, binary.LittleEndian, integrity.Checksum(body))
-	out.Write(body)
-	return out.Bytes(), nil
+	return integrity.Frame(magic, b.Bytes()), nil
 }
 
 // Decode parses a checkpoint frame. Damage surfaces as an error wrapping
@@ -117,28 +105,9 @@ func Encode(st *State) ([]byte, error) {
 //
 //errprop:deterministic
 func Decode(raw []byte) (*State, error) {
-	if len(raw) < len(magic) {
-		return nil, fmt.Errorf("checkpoint: %w: %d bytes, shorter than magic", ErrTruncated, len(raw))
-	}
-	if string(raw[:len(magic)]) != magic {
-		return nil, fmt.Errorf("checkpoint: %w: bad magic %q", ErrCorrupt, raw[:len(magic)])
-	}
-	rest := raw[len(magic):]
-	if len(rest) < 12 {
-		return nil, fmt.Errorf("checkpoint: %w: missing frame header", ErrTruncated)
-	}
-	bodyLen := binary.LittleEndian.Uint64(rest)
-	crc := binary.LittleEndian.Uint32(rest[8:])
-	rest = rest[12:]
-	if bodyLen > maxBody {
-		return nil, fmt.Errorf("checkpoint: %w: declared body length %d exceeds %d", ErrCorrupt, bodyLen, int64(maxBody))
-	}
-	if uint64(len(rest)) < bodyLen {
-		return nil, fmt.Errorf("checkpoint: %w: body %d of declared %d bytes", ErrTruncated, len(rest), bodyLen)
-	}
-	body := rest[:bodyLen]
-	if got := integrity.Checksum(body); got != crc {
-		return nil, fmt.Errorf("checkpoint: %w: body checksum %08x != stored %08x", ErrCorrupt, got, crc)
+	_, body, _, err := integrity.Unframe(raw, maxBody, magic)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	return decodeBody(bytes.NewReader(body))
 }
@@ -246,149 +215,36 @@ func decodeBody(r *bytes.Reader) (*State, error) {
 }
 
 // FileName returns the canonical checkpoint file name for a step.
-func FileName(step int64) string {
-	return fmt.Sprintf("step-%012d%s", step, Ext)
-}
-
-// stepFromName parses the step out of a canonical checkpoint name.
-func stepFromName(name string) (int64, bool) {
-	var step int64
-	var ext string
-	n, err := fmt.Sscanf(name, "step-%012d%s", &step, &ext)
-	if n != 2 || err != nil || ext != Ext || step < 0 {
-		return 0, false
-	}
-	return step, true
-}
+func FileName(step int64) string { return generations.Name(step) }
 
 // Save atomically writes st into dir under the canonical name for its
-// step and returns the final path. The write is crash-safe: temp file in
-// the same directory, fsync, rename, directory fsync.
+// step (integrity.WriteFileAtomic) and returns the final path.
 func Save(dir string, st *State) (string, error) {
 	raw, err := Encode(st)
 	if err != nil {
 		return "", err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	final := filepath.Join(dir, FileName(st.Step()))
-	tmp, err := os.CreateTemp(dir, FileName(st.Step())+tmpExt)
-	if err != nil {
-		return "", err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", err
-	}
-	if err := tmp.Close(); err != nil {
-		return "", err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return final, nil
-}
-
-// LoadFile reads and decodes one checkpoint file.
-func LoadFile(path string) (*State, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	st, err := Decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return st, nil
+	return generations.Save(dir, st.Step(), raw)
 }
 
 // List returns the canonical checkpoint paths in dir, newest (highest
 // step) first. Temp files and foreign names are ignored. A missing dir
 // is an empty list, not an error.
-func List(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	type cand struct {
-		path string
-		step int64
-	}
-	var cs []cand
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if step, ok := stepFromName(e.Name()); ok {
-			cs = append(cs, cand{filepath.Join(dir, e.Name()), step})
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].step > cs[j].step })
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.path
-	}
-	return out, nil
-}
+func List(dir string) ([]string, error) { return generations.List(dir) }
 
 // LoadLatest loads the newest decodable checkpoint in dir, skipping
 // over damaged files (a torn or bit-rotted newest checkpoint falls back
-// to the previous good one — crash safety must not depend on the last
-// write surviving). Returns os.ErrNotExist when dir holds no usable
-// checkpoint; damaged files encountered along the way are reported in
-// the error's message.
+// to the previous good one). Returns an error wrapping os.ErrNotExist
+// when dir holds no usable checkpoint; damaged files encountered along
+// the way are named in its message.
 func LoadLatest(dir string) (*State, string, error) {
-	paths, err := List(dir)
+	st, path, err := integrity.LoadNewest(generations, dir, Decode)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("checkpoint: %w", err)
 	}
-	var skipped []string
-	for _, p := range paths {
-		st, err := LoadFile(p)
-		if err == nil {
-			return st, p, nil
-		}
-		if !integrity.IsIntegrityError(err) {
-			return nil, "", err
-		}
-		skipped = append(skipped, fmt.Sprintf("%s (%v)", filepath.Base(p), err))
-	}
-	if len(skipped) > 0 {
-		return nil, "", fmt.Errorf("checkpoint: no usable checkpoint in %s (damaged: %v): %w", dir, skipped, os.ErrNotExist)
-	}
-	return nil, "", fmt.Errorf("checkpoint: no checkpoint in %s: %w", dir, os.ErrNotExist)
+	return st, path, nil
 }
 
 // Prune removes all but the keep newest checkpoints in dir. keep <= 0
 // keeps everything.
-func Prune(dir string, keep int) error {
-	if keep <= 0 {
-		return nil
-	}
-	paths, err := List(dir)
-	if err != nil {
-		return err
-	}
-	if keep > len(paths) {
-		keep = len(paths)
-	}
-	for _, p := range paths[keep:] {
-		if err := os.Remove(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func Prune(dir string, keep int) error { return generations.Prune(dir, keep) }

@@ -258,6 +258,10 @@ func TestDecodeTypedErrors(t *testing.T) {
 			t.Fatalf("byte %d flip: untyped error %v", i, err)
 		}
 	}
+	// Bytes after the declared body are damage too, not padding.
+	if _, err := checkpoint.Decode(append(append([]byte(nil), raw...), 0, 0)); !errors.Is(err, integrity.ErrCorrupt) {
+		t.Fatalf("2 trailing bytes: got %v, want ErrCorrupt", err)
+	}
 }
 
 // TestSaveLeavesNoTempFiles: a successful save leaves exactly the

@@ -29,7 +29,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 
 	"github.com/scidata/errprop/internal/integrity"
 )
@@ -186,11 +185,7 @@ func (r *Registry) Validate() error {
 	return nil
 }
 
-// Encode serializes the registry into its checksummed frame:
-//
-//	magic | bodyLen(8) | bodyCRC(4) | body
-//
-// (the same framing discipline as the score manifest), so damaged
+// Encode serializes the registry into its integrity frame, so damaged
 // registry bytes decode to a typed integrity error, never to a silently
 // different fleet.
 //
@@ -225,13 +220,7 @@ func (r *Registry) Encode() ([]byte, error) {
 			b.WriteString(a.Checksum)
 		}
 	}
-	body := b.Bytes()
-	out := bytes.NewBuffer(make([]byte, 0, len(magic)+12+len(body)))
-	out.WriteString(magic)
-	binary.Write(out, binary.LittleEndian, uint64(len(body)))
-	binary.Write(out, binary.LittleEndian, integrity.Checksum(body))
-	out.Write(body)
-	return out.Bytes(), nil
+	return integrity.Frame(magic, b.Bytes()), nil
 }
 
 // DecodeRegistry parses a registry frame. Damage surfaces as an error
@@ -240,35 +229,11 @@ func (r *Registry) Encode() ([]byte, error) {
 //
 //errprop:deterministic
 func DecodeRegistry(raw []byte) (*Registry, error) {
-	if len(raw) < len(registryMagic) {
-		return nil, fmt.Errorf("gateway: registry: %w: %d bytes, shorter than magic", ErrTruncated, len(raw))
+	magic, body, _, err := integrity.Unframe(raw, maxRegistryBody, registryMagic, registryMagicV2)
+	if err != nil {
+		return nil, fmt.Errorf("gateway: registry: %w", err)
 	}
-	magic := string(raw[:len(registryMagic)])
-	if magic != registryMagic && magic != registryMagicV2 {
-		return nil, fmt.Errorf("gateway: registry: %w: bad magic %q", ErrCorrupt, raw[:len(registryMagic)])
-	}
-	withArtifacts := magic == registryMagicV2
-	rest := raw[len(registryMagic):]
-	if len(rest) < 12 {
-		return nil, fmt.Errorf("gateway: registry: %w: missing frame header", ErrTruncated)
-	}
-	bodyLen := binary.LittleEndian.Uint64(rest)
-	crc := binary.LittleEndian.Uint32(rest[8:])
-	rest = rest[12:]
-	if bodyLen > maxRegistryBody {
-		return nil, fmt.Errorf("gateway: registry: %w: declared body length %d exceeds %d", ErrCorrupt, bodyLen, int64(maxRegistryBody))
-	}
-	if uint64(len(rest)) < bodyLen {
-		return nil, fmt.Errorf("gateway: registry: %w: body %d of declared %d bytes", ErrTruncated, len(rest), bodyLen)
-	}
-	if uint64(len(rest)) > bodyLen {
-		return nil, fmt.Errorf("gateway: registry: %w: %d bytes beyond declared body", ErrCorrupt, uint64(len(rest))-bodyLen)
-	}
-	body := rest[:bodyLen]
-	if got := integrity.Checksum(body); got != crc {
-		return nil, fmt.Errorf("gateway: registry: %w: body checksum %08x != stored %08x", ErrCorrupt, got, crc)
-	}
-	return decodeRegistryBody(bytes.NewReader(body), withArtifacts)
+	return decodeRegistryBody(bytes.NewReader(body), magic == registryMagicV2)
 }
 
 // decodeRegistryBody parses the checksum-verified body. Structural
@@ -363,35 +328,15 @@ func decodeRegistryBody(r *bytes.Reader, withArtifacts bool) (*Registry, error) 
 	return reg, nil
 }
 
-// WriteRegistryFile atomically writes the registry under path (temp
-// file in the same directory + fsync + rename), so a crash mid-write
-// never leaves a half manifest under the final name.
+// WriteRegistryFile atomically writes the registry under path
+// (integrity.WriteFileAtomic), so a crash mid-write never leaves a half
+// manifest under the final name.
 func WriteRegistryFile(path string, r *Registry) error {
 	raw, err := r.Encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return integrity.WriteFileAtomic(path, raw)
 }
 
 // ReadRegistryFile reads and decodes a registry manifest file.

@@ -1,7 +1,9 @@
-// Package integrity is the shared vocabulary of the repo's fault-tolerant
-// data path: CRC32C (Castagnoli) checksumming helpers and the two typed
-// error conditions every persisted artifact — compressed containers,
-// serialized models, training checkpoints — maps byte-level damage onto.
+// Package integrity is the shared durability layer of the repo's
+// fault-tolerant data path: CRC32C (Castagnoli) checksumming, the two
+// typed error conditions every persisted record maps byte-level damage
+// onto, the one checksummed frame every record is stored in, the one
+// atomic file writer, and the one numbered-generation store that
+// checkpoints and scoring cursors recover from.
 //
 // The taxonomy matters because the paper's Inequality (3) is a *guarantee*
 // about the bytes it runs on: a flipped bit in a compressed blob or a
@@ -11,6 +13,27 @@
 // but wrong value. ErrCorrupt and ErrTruncated are the sentinels callers
 // branch on to distinguish "bad bytes" (client's artifact is damaged; an
 // HTTP server answers 400) from "bad request" or an internal fault (500).
+//
+// Frame layout. Training checkpoints, scoring cursors and manifests,
+// gateway registries, ahead-of-time artifacts and v3 model files all use
+//
+//	magic | u64 LE body length | u32 LE CRC32C(body) | body
+//
+// built by Frame and checked by Unframe, which refuses a short header,
+// an unknown magic, a declared length over the caller's cap (before any
+// allocation), a short body, trailing bytes and a checksum mismatch,
+// each with a typed error. (The compress container predates this frame
+// and keeps its own header-CRC plus payload-CRC layout.)
+//
+// Write and recover policy. Checkpoints, scoring cursors, manifests and
+// chunk files, gateway registries and artifacts are written by
+// WriteFileAtomic: a temp file in the target directory, fsync, rename
+// over the final name, then a directory fsync, so a crash leaves the
+// old file or the new one, never half of one. Records kept as numbered
+// generations (Generations) are recovered newest-intact-wins: the
+// newest file that decodes is used, damaged newer files are skipped, any
+// other read error stops the scan, and when nothing usable is left the
+// error wraps os.ErrNotExist and names every damaged file.
 package integrity
 
 import (

@@ -110,4 +110,9 @@ func TestModelV3BadMagicAndLength(t *testing.T) {
 	if _, err := Load(bytes.NewReader(huge)); !errors.Is(err, integrity.ErrCorrupt) {
 		t.Fatalf("absurd body length: got %v, want ErrCorrupt", err)
 	}
+	// A v3 file is exactly one frame: a byte past the declared body is
+	// damage, not padding.
+	if _, err := Load(bytes.NewReader(append(raw, 0))); !errors.Is(err, integrity.ErrCorrupt) {
+		t.Fatalf("1 trailing byte: got %v, want ErrCorrupt", err)
+	}
 }

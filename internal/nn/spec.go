@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -350,9 +349,9 @@ const (
 // absurd allocation from untrusted bytes.
 const maxModelBytes = 1 << 30
 
-// Save serializes the network (spec + parameter values) to w in the v3
-// checksummed framing: magic, body length, body CRC32C, body. Networks
-// without a Spec cannot be saved.
+// Save serializes the network (spec + parameter values) to w as a v3
+// model: the body in an internal/integrity frame. Networks without a
+// Spec cannot be saved.
 func (n *Network) Save(w io.Writer) error {
 	if n.Spec == nil {
 		return fmt.Errorf("nn: network has no Spec; cannot serialize")
@@ -361,20 +360,8 @@ func (n *Network) Save(w io.Writer) error {
 	if err := n.saveBody(&body); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(modelMagicV3); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(body.Len())); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, integrity.Checksum(body.Bytes())); err != nil {
-		return err
-	}
-	if _, err := bw.Write(body.Bytes()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(integrity.Frame(modelMagicV3, body.Bytes()))
+	return err
 }
 
 // saveBody writes the magic-less model body: spec JSON, parameters, and
@@ -420,45 +407,35 @@ func (n *Network) saveBody(bw io.Writer) error {
 	return nil
 }
 
-// Load reads a network serialized by Save — the checksummed v3 framing
-// or the legacy v2 one — and refreshes its spectral state so it is
-// immediately ready for analysis and inference. Damage to a v3 file
-// surfaces as an error wrapping integrity.ErrCorrupt or
-// integrity.ErrTruncated, so callers can distinguish a bad model file
-// from a usage error.
+// Load reads a network serialized by Save from r, whole, and decodes it
+// with DecodeModel.
 func Load(r io.Reader) (*Network, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(modelMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, truncOr(err, "model magic")
+	// One byte past the largest legal frame, so an oversized input
+	// reaches Unframe as trailing bytes, not as a clean cut.
+	limit := int64(integrity.FrameLen(modelMagicV3, maxModelBytes)) + 1
+	raw, err := io.ReadAll(io.LimitReader(r, limit))
+	if err != nil {
+		return nil, fmt.Errorf("nn: model: reading: %w", err)
 	}
-	switch string(magic) {
-	case modelMagicV3:
-		var bodyLen uint64
-		if err := binary.Read(br, binary.LittleEndian, &bodyLen); err != nil {
-			return nil, truncOr(err, "model body length")
-		}
-		if bodyLen > maxModelBytes {
-			return nil, fmt.Errorf("nn: model: %w: declared body length %d exceeds %d", integrity.ErrCorrupt, bodyLen, int64(maxModelBytes))
-		}
-		var crc uint32
-		if err := binary.Read(br, binary.LittleEndian, &crc); err != nil {
-			return nil, truncOr(err, "model checksum")
-		}
-		body := make([]byte, bodyLen)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return nil, truncOr(err, "model body")
-		}
-		if got := integrity.Checksum(body); got != crc {
-			return nil, fmt.Errorf("nn: model: %w: body checksum %08x != stored %08x", integrity.ErrCorrupt, got, crc)
-		}
-		return loadBody(bytes.NewReader(body), true)
-	case modelMagic:
-		// Legacy unchecksummed format: parse streaming, no verification
-		// possible.
-		return loadBody(br, false)
+	return DecodeModel(raw)
+}
+
+// DecodeModel decodes a network serialized by Save — the checksummed v3
+// frame, which raw must hold exactly, or the legacy v2 layout — and
+// refreshes its spectral state so it is immediately ready for analysis
+// and inference. Damage to a v3 model surfaces as an error wrapping
+// integrity.ErrCorrupt or integrity.ErrTruncated, so callers can
+// distinguish a bad model file from a usage error.
+func DecodeModel(raw []byte) (*Network, error) {
+	if body, ok := bytes.CutPrefix(raw, []byte(modelMagic)); ok {
+		// Legacy unchecksummed format: no verification possible.
+		return loadBody(bytes.NewReader(body), false)
 	}
-	return nil, fmt.Errorf("nn: model: %w: bad magic %q", integrity.ErrCorrupt, magic)
+	_, body, _, err := integrity.Unframe(raw, maxModelBytes, modelMagicV3)
+	if err != nil {
+		return nil, fmt.Errorf("nn: model: %w", err)
+	}
+	return loadBody(bytes.NewReader(body), true)
 }
 
 // truncOr maps unexpected end-of-stream onto the typed truncation

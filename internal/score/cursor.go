@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"github.com/scidata/errprop/internal/integrity"
@@ -38,12 +35,13 @@ const (
 	// maxCursorVec caps the declared aggregate vector length.
 	maxCursorVec = 1 << 22
 	// CursorExt is the cursor file extension.
-	CursorExt    = ".cur"
-	cursorPrefix = "cursor-"
+	CursorExt = ".cur"
 )
 
-// EncodeCursor serializes c into the checksummed frame (same framing
-// discipline as the manifest and internal/checkpoint).
+// cursors names cursor files cursor-<committed as %012d>.cur.
+var cursors = integrity.Generations{Prefix: "cursor-", Ext: CursorExt}
+
+// EncodeCursor serializes c into its integrity frame.
 //
 //errprop:deterministic the frame is a pure function of the cursor state
 func EncodeCursor(c *Cursor) ([]byte, error) {
@@ -85,14 +83,7 @@ func EncodeCursor(c *Cursor) ([]byte, error) {
 	vec(a.Sum)
 	vec(a.Min)
 	vec(a.Max)
-
-	body := b.Bytes()
-	out := bytes.NewBuffer(make([]byte, 0, len(cursorMagic)+12+len(body)))
-	out.WriteString(cursorMagic)
-	binary.Write(out, binary.LittleEndian, uint64(len(body)))
-	binary.Write(out, binary.LittleEndian, integrity.Checksum(body))
-	out.Write(body)
-	return out.Bytes(), nil
+	return integrity.Frame(cursorMagic, b.Bytes()), nil
 }
 
 // DecodeCursor parses a cursor frame; damage surfaces as a typed
@@ -100,33 +91,10 @@ func EncodeCursor(c *Cursor) ([]byte, error) {
 //
 //errprop:deterministic
 func DecodeCursor(raw []byte) (*Cursor, error) {
-	if len(raw) < len(cursorMagic) {
-		return nil, fmt.Errorf("score: cursor: %w: %d bytes, shorter than magic", ErrTruncated, len(raw))
+	_, body, _, err := integrity.Unframe(raw, maxCursorBody, cursorMagic)
+	if err != nil {
+		return nil, fmt.Errorf("score: cursor: %w", err)
 	}
-	if string(raw[:len(cursorMagic)]) != cursorMagic {
-		return nil, fmt.Errorf("score: cursor: %w: bad magic %q", ErrCorrupt, raw[:len(cursorMagic)])
-	}
-	rest := raw[len(cursorMagic):]
-	if len(rest) < 12 {
-		return nil, fmt.Errorf("score: cursor: %w: missing frame header", ErrTruncated)
-	}
-	bodyLen := binary.LittleEndian.Uint64(rest)
-	crc := binary.LittleEndian.Uint32(rest[8:])
-	rest = rest[12:]
-	if bodyLen > maxCursorBody {
-		return nil, fmt.Errorf("score: cursor: %w: declared body length %d exceeds %d", ErrCorrupt, bodyLen, int64(maxCursorBody))
-	}
-	if uint64(len(rest)) < bodyLen {
-		return nil, fmt.Errorf("score: cursor: %w: body %d of declared %d bytes", ErrTruncated, len(rest), bodyLen)
-	}
-	if uint64(len(rest)) > bodyLen {
-		return nil, fmt.Errorf("score: cursor: %w: %d bytes beyond declared body", ErrCorrupt, uint64(len(rest))-bodyLen)
-	}
-	body := rest[:bodyLen]
-	if got := integrity.Checksum(body); got != crc {
-		return nil, fmt.Errorf("score: cursor: %w: body checksum %08x != stored %08x", ErrCorrupt, got, crc)
-	}
-
 	bad := func(what string) error {
 		return fmt.Errorf("score: cursor: %w: inconsistent %s", ErrCorrupt, what)
 	}
@@ -160,7 +128,6 @@ func DecodeCursor(raw []byte) (*Cursor, error) {
 	}
 	c.ManifestChecksum = mc
 	a := c.Agg
-	var err error
 	for _, fld := range []struct {
 		what string
 		dst  *int64
@@ -226,115 +193,34 @@ func DecodeCursor(raw []byte) (*Cursor, error) {
 	return c, nil
 }
 
-// cursorFileName returns the canonical cursor file name for a committed
-// count.
-func cursorFileName(committed int64) string {
-	return fmt.Sprintf("%s%012d%s", cursorPrefix, committed, CursorExt)
-}
-
-// committedFromName parses the committed count out of a canonical cursor
-// name.
-func committedFromName(name string) (int64, bool) {
-	var committed int64
-	var ext string
-	n, err := fmt.Sscanf(name, cursorPrefix+"%012d%s", &committed, &ext)
-	if n != 2 || err != nil || ext != CursorExt || committed < 0 {
-		return 0, false
-	}
-	return committed, true
-}
-
 // SaveCursor atomically writes c into dir under the canonical name for
-// its committed count (temp file + fsync + rename + directory fsync) and
-// returns the final path.
+// its committed count (integrity.WriteFileAtomic) and returns the final
+// path.
 func SaveCursor(dir string, c *Cursor) (string, error) {
 	raw, err := EncodeCursor(c)
 	if err != nil {
 		return "", err
 	}
-	final := filepath.Join(dir, cursorFileName(c.Committed))
-	if err := atomicWrite(final, raw); err != nil {
-		return "", err
-	}
-	return final, nil
+	return cursors.Save(dir, c.Committed, raw)
 }
 
 // ListCursors returns the canonical cursor paths in dir, newest (highest
 // committed count) first. A missing dir is an empty list, not an error.
-func ListCursors(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	type cand struct {
-		path      string
-		committed int64
-	}
-	var cs []cand
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if committed, ok := committedFromName(e.Name()); ok {
-			cs = append(cs, cand{filepath.Join(dir, e.Name()), committed})
-		}
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].committed > cs[j].committed })
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.path
-	}
-	return out, nil
-}
+func ListCursors(dir string) ([]string, error) { return cursors.List(dir) }
 
 // LoadLatestCursor loads the newest decodable cursor in dir, skipping
 // damaged files — crash safety must not depend on the last write
-// surviving. Returns os.ErrNotExist (wrapped) when dir holds no usable
-// cursor; damaged files encountered along the way are named in the
-// error.
+// surviving. Returns an error wrapping os.ErrNotExist when dir holds no
+// usable cursor; damaged files encountered along the way are named in
+// it.
 func LoadLatestCursor(dir string) (*Cursor, string, error) {
-	paths, err := ListCursors(dir)
+	c, path, err := integrity.LoadNewest(cursors, dir, DecodeCursor)
 	if err != nil {
-		return nil, "", err
+		return nil, "", fmt.Errorf("score: %w", err)
 	}
-	var skipped []string
-	for _, p := range paths {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			return nil, "", err
-		}
-		c, err := DecodeCursor(raw)
-		if err == nil {
-			return c, p, nil
-		}
-		skipped = append(skipped, fmt.Sprintf("%s (%v)", filepath.Base(p), err))
-	}
-	if len(skipped) > 0 {
-		return nil, "", fmt.Errorf("score: no usable cursor in %s (damaged: %v): %w", dir, skipped, os.ErrNotExist)
-	}
-	return nil, "", fmt.Errorf("score: no cursor in %s: %w", dir, os.ErrNotExist)
+	return c, path, nil
 }
 
 // PruneCursors removes all but the keep newest cursors in dir. keep <= 0
 // keeps everything.
-func PruneCursors(dir string, keep int) error {
-	if keep <= 0 {
-		return nil
-	}
-	paths, err := ListCursors(dir)
-	if err != nil {
-		return err
-	}
-	if keep > len(paths) {
-		keep = len(paths)
-	}
-	for _, p := range paths[keep:] {
-		if err := os.Remove(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func PruneCursors(dir string, keep int) error { return cursors.Prune(dir, keep) }

@@ -90,7 +90,7 @@ func TestLoadLatestCursorSkipsDamaged(t *testing.T) {
 	}
 	// Damage the newest file in place: LoadLatestCursor must fall back
 	// to the older intact one and name the damaged file.
-	newest := filepath.Join(dir, cursorFileName(newer.Committed))
+	newest := filepath.Join(dir, cursors.Name(newer.Committed))
 	raw, err := os.ReadFile(newest)
 	if err != nil {
 		t.Fatal(err)
@@ -104,12 +104,12 @@ func TestLoadLatestCursorSkipsDamaged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Committed != 3 || filepath.Base(path) != cursorFileName(3) {
+	if got.Committed != 3 || filepath.Base(path) != cursors.Name(3) {
 		t.Fatalf("loaded %d from %s, want committed 3", got.Committed, path)
 	}
 
 	// All damaged -> wrapped os.ErrNotExist naming the casualties.
-	older := filepath.Join(dir, cursorFileName(3))
+	older := filepath.Join(dir, cursors.Name(3))
 	if err := os.WriteFile(older, raw[:7], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPruneCursors(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("kept %d cursors, want 2", len(paths))
 	}
-	if filepath.Base(paths[0]) != cursorFileName(5) || filepath.Base(paths[1]) != cursorFileName(4) {
+	if filepath.Base(paths[0]) != cursors.Name(5) || filepath.Base(paths[1]) != cursors.Name(4) {
 		t.Fatalf("kept %v, want newest two", paths)
 	}
 	// keep <= 0 keeps everything.

@@ -73,7 +73,7 @@ func WriteDataset(dir string, field []float64, features int, cfg DatasetConfig) 
 		}
 		linf, l2 := compress.MeasureError(buf, recon)
 		name := fmt.Sprintf("chunk-%06d.blob", len(m.Chunks))
-		if err := atomicWrite(filepath.Join(dir, name), blob); err != nil {
+		if err := integrity.WriteFileAtomic(filepath.Join(dir, name), blob); err != nil {
 			return nil, fmt.Errorf("score: dataset chunk %d: %w", len(m.Chunks), err)
 		}
 		m.Chunks = append(m.Chunks, Chunk{

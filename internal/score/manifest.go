@@ -14,9 +14,10 @@
 //     that name themselves as semantic). Worker count and goroutine
 //     schedule never change a single output bit: chunks reduce in fixed
 //     chunk-index order through a commit window.
-//   - Crash safety: progress is a chunk-granular cursor checkpointed
-//     atomically (temp file + fsync + rename, like internal/checkpoint).
-//     A run killed at any instant resumes bit-identically — same
+//   - Crash safety: progress is a chunk-granular cursor, kept in
+//     internal/integrity's generation store like training checkpoints
+//     (atomic writes, newest-intact-wins recovery). A run killed at any
+//     instant resumes bit-identically — same
 //     aggregate, same per-chunk outputs and bounds — because the cursor
 //     stores the running aggregate and the byte offset of the durable
 //     result log, which resume truncates back to before continuing.
@@ -32,7 +33,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"github.com/scidata/errprop/internal/compress"
@@ -115,12 +115,9 @@ func (m *Manifest) TotalSamples() int64 {
 	return n
 }
 
-// Encode serializes the manifest into its checksummed frame:
-//
-//	magic | bodyLen(8) | bodyCRC(4) | body
-//
-// so damaged manifest bytes decode to a typed integrity error, never to
-// a silently different chunk list.
+// Encode serializes the manifest into its integrity frame, so damaged
+// manifest bytes decode to a typed integrity error, never to a silently
+// different chunk list.
 //
 //errprop:deterministic the frame is a pure function of the manifest
 func (m *Manifest) Encode() ([]byte, error) {
@@ -156,13 +153,7 @@ func (m *Manifest) Encode() ([]byte, error) {
 		w(math.Float64bits(c.AchievedLinf))
 		w(math.Float64bits(c.AchievedL2))
 	}
-	body := b.Bytes()
-	out := bytes.NewBuffer(make([]byte, 0, len(manifestMagic)+12+len(body)))
-	out.WriteString(manifestMagic)
-	binary.Write(out, binary.LittleEndian, uint64(len(body)))
-	binary.Write(out, binary.LittleEndian, integrity.Checksum(body))
-	out.Write(body)
-	return out.Bytes(), nil
+	return integrity.Frame(manifestMagic, b.Bytes()), nil
 }
 
 // checkChunkName rejects chunk file names that could escape the dataset
@@ -183,31 +174,9 @@ func checkChunkName(name string) error {
 //
 //errprop:deterministic
 func DecodeManifest(raw []byte) (*Manifest, error) {
-	if len(raw) < len(manifestMagic) {
-		return nil, fmt.Errorf("score: manifest: %w: %d bytes, shorter than magic", ErrTruncated, len(raw))
-	}
-	if string(raw[:len(manifestMagic)]) != manifestMagic {
-		return nil, fmt.Errorf("score: manifest: %w: bad magic %q", ErrCorrupt, raw[:len(manifestMagic)])
-	}
-	rest := raw[len(manifestMagic):]
-	if len(rest) < 12 {
-		return nil, fmt.Errorf("score: manifest: %w: missing frame header", ErrTruncated)
-	}
-	bodyLen := binary.LittleEndian.Uint64(rest)
-	crc := binary.LittleEndian.Uint32(rest[8:])
-	rest = rest[12:]
-	if bodyLen > maxManifestBody {
-		return nil, fmt.Errorf("score: manifest: %w: declared body length %d exceeds %d", ErrCorrupt, bodyLen, int64(maxManifestBody))
-	}
-	if uint64(len(rest)) < bodyLen {
-		return nil, fmt.Errorf("score: manifest: %w: body %d of declared %d bytes", ErrTruncated, len(rest), bodyLen)
-	}
-	if uint64(len(rest)) > bodyLen {
-		return nil, fmt.Errorf("score: manifest: %w: %d bytes beyond declared body", ErrCorrupt, uint64(len(rest))-bodyLen)
-	}
-	body := rest[:bodyLen]
-	if got := integrity.Checksum(body); got != crc {
-		return nil, fmt.Errorf("score: manifest: %w: body checksum %08x != stored %08x", ErrCorrupt, got, crc)
+	_, body, _, err := integrity.Unframe(raw, maxManifestBody, manifestMagic)
+	if err != nil {
+		return nil, fmt.Errorf("score: manifest: %w", err)
 	}
 	return decodeManifestBody(bytes.NewReader(body))
 }
@@ -315,15 +284,15 @@ func decodeManifestBody(r *bytes.Reader) (*Manifest, error) {
 	return m, nil
 }
 
-// WriteManifestFile atomically writes the manifest under path (temp file
-// in the same directory + fsync + rename), so a crash mid-write never
-// leaves a half manifest under the final name.
+// WriteManifestFile atomically writes the manifest under path
+// (integrity.WriteFileAtomic), so a crash mid-write never leaves a half
+// manifest under the final name.
 func WriteManifestFile(path string, m *Manifest) error {
 	raw, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	return atomicWrite(path, raw)
+	return integrity.WriteFileAtomic(path, raw)
 }
 
 // ReadManifestFile reads and decodes a manifest file.
@@ -337,37 +306,4 @@ func ReadManifestFile(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
-}
-
-// atomicWrite is the shared temp+fsync+rename idiom (same discipline as
-// internal/checkpoint.Save).
-func atomicWrite(path string, raw []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }

@@ -418,27 +418,19 @@ func (r *runner) checkpoint(committed int64, agg *Aggregate) error {
 	return PruneCursors(r.cfg.CursorDir, r.cfg.KeepCursors)
 }
 
+// finalize makes the run durable: the final cursor when a cursor
+// directory is set (checkpoint syncs the result log first), else just
+// the result log.
 func (r *runner) finalize(committed int64, agg *Aggregate) error {
+	if r.cfg.CursorDir != "" {
+		return r.checkpoint(committed, agg)
+	}
 	if r.cfg.Results != nil {
 		if err := r.cfg.Results.Sync(); err != nil {
 			return fmt.Errorf("score: syncing result log: %w", err)
 		}
 	}
-	if r.cfg.CursorDir == "" {
-		return nil
-	}
-	return r.checkpointFinal(committed, agg)
-}
-
-func (r *runner) checkpointFinal(committed int64, agg *Aggregate) error {
-	cur := &Cursor{ManifestChecksum: r.manChecksum, Committed: committed, Agg: agg}
-	if r.cfg.Results != nil {
-		cur.ResultBytes = r.cfg.Results.Offset()
-	}
-	if _, err := SaveCursor(r.cfg.CursorDir, cur); err != nil {
-		return fmt.Errorf("score: saving final cursor: %w", err)
-	}
-	return PruneCursors(r.cfg.CursorDir, r.cfg.KeepCursors)
+	return nil
 }
 
 // workerState is one worker's reusable compute state: a private compiled
