@@ -119,8 +119,10 @@ score-smoke:
 	echo "score-smoke OK (kill at chunk 9, resume bit-identical)"
 
 # End-to-end fleet drill with real processes: boot errpropd -gateway
-# over 2 spawned backends, predict through the gateway, SIGKILL one
-# backend mid-fleet, keep predicting (every response must succeed — the
+# over 2 spawned backends, predict through the gateway, require a
+# /v1/plan through the gateway to be byte-identical to a backend's own
+# answer while no backend's requests_total moves (spawn mode pins its
+# artifacts, so the gateway plans locally), SIGKILL one backend mid-fleet, keep predicting (every response must succeed — the
 # gateway retries around the corpse until the supervisor respawns it),
 # require /metrics to show the kill was seen (retries, probe failures,
 # or backend failures) and the fleet back at 2 ready backends with
@@ -140,6 +142,15 @@ gateway-smoke:
 	for i in $$(seq 1 100); do \
 	  curl -fsS "http://$$addr/healthz" | grep -q '"ready":true' && break; sleep 0.1; done; \
 	predict 0.50 || { echo "pre-kill predict failed"; cat "$$tmp/log"; exit 1; }; \
+	m=$$(curl -fsS "http://$$addr/metrics"); \
+	child=$$(echo "$$m" | grep -o '"addr":"[^"]*"' | head -1 | cut -d'"' -f4); \
+	sent=$$(echo "$$m" | sed 's/.*"backends"//' | grep -o '"requests_total":[0-9]*'); \
+	plan='{"model":"demo","tol":0.5}'; \
+	curl -fsS "http://$$addr/v1/plan" -d "$$plan" >"$$tmp/plan.gw"; \
+	curl -fsS "http://$$child/v1/plan" -d "$$plan" >"$$tmp/plan.child"; \
+	cmp "$$tmp/plan.gw" "$$tmp/plan.child" || { echo "gateway /v1/plan differs from backend $$child's"; exit 1; }; \
+	now=$$(curl -fsS "http://$$addr/metrics" | sed 's/.*"backends"//' | grep -o '"requests_total":[0-9]*'); \
+	[ "$$sent" = "$$now" ] || { echo "gateway /v1/plan reached a backend: $$sent -> $$now"; exit 1; }; \
 	victim=$$(pgrep -P $$pid | head -1); \
 	[ -n "$$victim" ] || { echo "no backend child found"; cat "$$tmp/log"; exit 1; }; \
 	kill -9 "$$victim"; \

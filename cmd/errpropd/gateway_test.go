@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -15,22 +16,101 @@ import (
 
 func TestBackendArgsRoundTrip(t *testing.T) {
 	args := backendArgs(backendFlags{
-		format: "fp16", demo: true,
-		models:   []modelFlag{{name: "h2", path: "/m/h2.model"}},
 		maxBatch: 16, queueCap: 256,
 		workers: 2, timeout: 4 * time.Second,
+	}, []errprop.GatewayArtifactRef{
+		{Model: "h2", Path: "/s/h2.aot", Checksum: "crc32c:0123abcd"},
+		{Model: "demo", Path: "/s/demo.aot", Checksum: "crc32c:89abcdef"},
 	})
 	want := []string{
-		"-format", "fp16",
 		"-max-batch", "16",
 		"-queue", "256",
 		"-workers", "2",
 		"-timeout", "4s",
-		"-demo",
-		"-model", "h2=/m/h2.model",
+		"-model", "h2=/s/h2.aot",
+		"-model", "demo=/s/demo.aot",
 	}
 	if !reflect.DeepEqual(args, want) {
 		t.Fatalf("backendArgs:\n got  %q\n want %q", args, want)
+	}
+}
+
+// TestPinModels: spawn mode resolves each model once. -demo and a
+// saved network become .aot files byte-identical to what -compile
+// writes at the same format, an .aot input is referenced in place, and
+// a corrupt .aot is a typed integrity refusal before any child starts.
+func TestPinModels(t *testing.T) {
+	net, err := demoNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := t.TempDir()
+	spec := filepath.Join(src, "h2.model")
+	f, err := os.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compiled := t.TempDir()
+	if err := run([]string{"-compile", "-model", "h2=" + spec, "-demo", "-format", "int8", "-out", compiled}); err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+
+	dir := t.TempDir()
+	aot := filepath.Join(compiled, "h2.aot")
+	refs, err := pinModels(dir, []modelFlag{{name: "h2", path: spec}, {name: "demo"}, {name: "pre", path: aot}}, errprop.INT8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"h2", "demo"} {
+		want, err := os.ReadFile(filepath.Join(compiled, name+".aot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refs[i].Model != name || refs[i].Path != filepath.Join(dir, name+".aot") {
+			t.Fatalf("ref %d = %+v, want model %s built into %s", i, refs[i], name, dir)
+		}
+		got, err := os.ReadFile(refs[i].Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: pinned artifact differs from what -compile writes", name)
+		}
+		art, err := errprop.DecodeArtifact(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refs[i].Checksum != art.Checksum {
+			t.Fatalf("%s: pinned checksum %s, -compile wrote %s", name, refs[i].Checksum, art.Checksum)
+		}
+	}
+	if refs[2].Model != "pre" || refs[2].Path != aot || refs[2].Checksum != refs[0].Checksum {
+		t.Fatalf("an .aot input must be pinned in place: %+v", refs[2])
+	}
+	if _, err := os.Stat(filepath.Join(dir, "pre.aot")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("an .aot input was copied into the scratch dir: %v", err)
+	}
+
+	raw, err := os.ReadFile(aot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x20
+	bad := filepath.Join(src, "bad.aot")
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A child of this test binary could never serve, so the typed
+	// integrity error can only come from the supervisor's own check.
+	err = run([]string{"-gateway", "-spawn", "2", "-model", "bad=" + bad, "-addr", "127.0.0.1:0"})
+	if !errors.Is(err, integrity.ErrCorrupt) || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("spawn over a corrupt artifact: %v, want a typed refusal naming %s", err, bad)
 	}
 }
 
@@ -48,6 +128,11 @@ func TestRunGatewayRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-gateway", "-spawn", "2", "-registry", "/tmp/x.reg"}); err == nil {
 		t.Fatal("-gateway with two fleet sources must fail")
+	}
+	// A spawned fleet needs a model; the supervisor refuses before
+	// spawning anything.
+	if err := run([]string{"-gateway", "-spawn", "2"}); err == nil || !strings.Contains(err.Error(), "nothing to serve") {
+		t.Fatalf("-spawn with no model: %v, want a nothing-to-serve refusal", err)
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	errprop "github.com/scidata/errprop"
+	"github.com/scidata/errprop/internal/integrity"
 )
 
 // modelFlag is one -model name=path pair.
@@ -135,6 +136,16 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !*gatewayMode && (*spawn > 0 || *registry != "") {
+		return fmt.Errorf("-spawn and -registry require -gateway")
+	}
+	if *demo {
+		models = append(models, modelFlag{name: "demo"})
+	}
+	f, err := errprop.ParseFormat(strings.ToLower(*format))
+	if err != nil {
+		return fmt.Errorf("-format: %w", err)
+	}
 	if *gatewayMode {
 		return runGateway(gatewayOpts{
 			addr:       *addr,
@@ -144,28 +155,19 @@ func run(args []string) error {
 			probeEvery: *probeEvery,
 			retries:    *retries,
 			seed:       *seed,
-			backendArgs: backendArgs(backendFlags{
-				format: *format, demo: *demo, models: models,
+			models:     models,
+			format:     f,
+			serving: backendFlags{
 				maxBatch: *maxBatch, queueCap: *queueCap,
 				workers: *workers, timeout: *timeout,
-			}),
+			},
 		})
-	}
-	if *spawn > 0 || *registry != "" {
-		return fmt.Errorf("-spawn and -registry require -gateway")
-	}
-	if *demo {
-		models = append(models, modelFlag{name: "demo"})
 	}
 	if len(models) == 0 {
 		if *compileMode {
 			return fmt.Errorf("nothing to compile: pass -model name=path and/or -demo")
 		}
 		return fmt.Errorf("nothing to serve: pass -model name=path and/or -demo")
-	}
-	f, err := errprop.ParseFormat(strings.ToLower(*format))
-	if err != nil {
-		return fmt.Errorf("-format: %w", err)
 	}
 	if *compileMode {
 		return runCompile(*outDir, f, models)
@@ -197,7 +199,7 @@ func run(args []string) error {
 	bound := ln.Addr().String()
 	log.Printf("errpropd listening on %s", bound)
 	if *portfile != "" {
-		if err := os.WriteFile(*portfile, []byte(bound), 0o644); err != nil {
+		if err := integrity.WriteFileAtomic(*portfile, []byte(bound)); err != nil {
 			return err
 		}
 	}

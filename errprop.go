@@ -442,10 +442,12 @@ func LoadArtifact(path string, f Format) (a *Artifact, built bool, err error) {
 // Gateway routes inference requests across a fleet of errpropd
 // backends: consistent-hash routing on (model, request bytes), active
 // health probes with a liveness/readiness distinction, bounded retry
-// with deterministic backoff jitter, per-backend circuit breakers, and
-// a response cache for the deterministic /v1/plan and /v1/models
-// endpoints. Retries are safe because backend responses are
-// bit-identical for the same request bytes (see internal/gateway).
+// with deterministic backoff jitter, and per-backend circuit breakers.
+// A registry that pins a model's artifact lets the gateway answer that
+// model's /v1/plan itself, and /v1/models once every served model is
+// pinned; every other request goes to a backend. Retries are safe
+// because backend responses are bit-identical for the same request
+// bytes (see internal/gateway).
 type Gateway = gateway.Gateway
 
 // GatewayConfig tunes a Gateway; the zero value gets production
@@ -463,8 +465,9 @@ type GatewayRegistry = gateway.Registry
 // GatewayArtifactRef pins one model's compiled artifact in a registry
 // manifest by path and checksum: the gateway verifies the file at
 // load/reload (a mismatch is a typed refusal that leaves the running
-// fleet untouched) and then answers /v1/plan and /v1/models for that
-// model from the artifact itself, with zero backend round-trips.
+// fleet untouched) and then answers /v1/plan for that model from the
+// artifact itself, with zero backend round-trips, and /v1/models too
+// once every model the fleet serves is pinned.
 type GatewayArtifactRef = gateway.ArtifactRef
 
 // GatewayBackendStatus is one backend's health/traffic slice of the

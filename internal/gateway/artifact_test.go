@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -123,11 +124,16 @@ type artifactBackend struct {
 	hits atomic.Int64
 }
 
-func startArtifactBackend(t *testing.T, f numfmt.Format) *artifactBackend {
+// startArtifactBackend serves the h2 artifact at format f as "h2" and
+// under each name in also.
+func startArtifactBackend(t *testing.T, f numfmt.Format, also ...string) *artifactBackend {
 	t.Helper()
 	s := serve.New(serve.Config{Workers: 1, RetryAfter: time.Second})
-	if err := s.RegisterArtifact("h2", buildH2Artifact(t, f)); err != nil {
-		t.Fatal(err)
+	art := buildH2Artifact(t, f)
+	for _, name := range append([]string{"h2"}, also...) {
+		if err := s.RegisterArtifact(name, art); err != nil {
+			t.Fatal(err)
+		}
 	}
 	t.Cleanup(s.Close)
 	b := &artifactBackend{}
@@ -263,6 +269,49 @@ func TestGatewayPlanFromArtifact(t *testing.T) {
 	}
 	if be.hits.Load() == before {
 		t.Fatal("predict made no backend round-trip")
+	}
+}
+
+// TestGatewayModelsPartialPin: a registry that pins some of the models
+// the fleet serves must not hide the rest. /v1/models is relayed to a
+// backend and lists every model the backend lists, byte for byte.
+func TestGatewayModelsPartialPin(t *testing.T) {
+	be := startArtifactBackend(t, numfmt.FP32, "flame")
+	regPath, _ := writeArtifactRegistry(t, t.TempDir(), be.addr, numfmt.FP32)
+
+	g := New(fastCfg())
+	t.Cleanup(g.Close)
+	if err := g.LoadRegistryFile(regPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.WaitReady("flame", 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	base := gwServer(t, g)
+
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s/v1/models: status %d: %s", url, resp.StatusCode, raw)
+		}
+		return raw
+	}
+	before := be.hits.Load()
+	got := get(base)
+	if be.hits.Load() == before {
+		t.Fatal("partially pinned /v1/models was answered without the backend")
+	}
+	if want := get("http://" + be.addr); !bytes.Equal(got, want) {
+		t.Fatalf("gateway /v1/models differs from the backend's:\n gw  %s\n ref %s", got, want)
 	}
 }
 

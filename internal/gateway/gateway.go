@@ -17,14 +17,12 @@ import (
 // production-shaped default.
 type Config struct {
 	// ProbeInterval is how often each backend's /healthz is probed
-	// (default 250ms). A restarted backend re-enters routing — and its
-	// breaker re-closes — within one interval.
+	// (default 250ms). SetBackends and LoadRegistryFile probe a joining
+	// backend at once; the interval is how soon a backend that died or
+	// restarted on its old address is seen, and its breaker re-closes.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 1s).
 	ProbeTimeout time.Duration
-	// BreakerThreshold is the consecutive-failure count that trips a
-	// backend's circuit breaker (default 3).
-	BreakerThreshold int
 	// BreakerCooldown is how long a tripped breaker blocks traffic
 	// before admitting a half-open trial (default 2s).
 	BreakerCooldown time.Duration
@@ -40,24 +38,25 @@ type Config struct {
 	// RequestTimeout bounds one client request end to end, retries and
 	// backoff included (default 15s).
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps accepted request bodies (default 32 MiB).
-	MaxBodyBytes int64
-	// RetryAfter is the client backoff hint on gateway-generated 503s
-	// (default 1s).
-	RetryAfter time.Duration
-	// VNodes is the consistent-hash virtual nodes per backend weight
-	// unit (default 64).
-	VNodes int
 	// Seed seeds the deterministic retry jitter (internal/detrand).
 	// Jitter is a pure function of (Seed, request key, attempt), so a
 	// fault drill replays with identical waits.
 	Seed uint64
-	// CacheCap bounds the /v1/plan + /v1/models response cache entry
-	// count (default 4096). Overflow resets the cache — crude, but the
-	// cache is repopulated by the next request and correctness never
-	// depends on it.
-	CacheCap int
 }
+
+const (
+	// breakerThreshold is the consecutive-failure count that trips a
+	// backend's circuit breaker.
+	breakerThreshold = 3
+	// maxBodyBytes caps accepted request bodies.
+	maxBodyBytes = 32 << 20
+	// retryAfter is the Retry-After hint, in seconds, on
+	// gateway-generated 503s.
+	retryAfter = "1"
+	// vnodes is the consistent-hash virtual nodes per backend weight
+	// unit.
+	vnodes = 64
+)
 
 func (c *Config) fillDefaults() {
 	if c.ProbeInterval <= 0 {
@@ -65,9 +64,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
@@ -83,18 +79,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
-	if c.CacheCap <= 0 {
-		c.CacheCap = 4096
 	}
 }
 
@@ -150,16 +134,16 @@ func (b *backend) setProbe(alive, ready bool, models []string, errDetail string)
 type Gateway struct {
 	cfg     Config
 	metrics *gwMetrics
-	cache   *respCache
 	client  *http.Client
 
 	mu       sync.RWMutex
 	backends map[string]*backend // by name
 	ring     *ring
 	// artifacts holds the verified ahead-of-time artifacts pinned by the
-	// last loaded registry, by model name. Models present here get their
-	// /v1/plan and /v1/models answers computed gateway-side, with zero
-	// backend round-trips.
+	// last loaded registry, by model name. A model present here gets its
+	// /v1/plan answer computed gateway-side, with zero backend
+	// round-trips; so does /v1/models once every model the ready fleet
+	// advertises is pinned.
 	artifacts map[string]*artifact.Artifact
 	reloads   atomic.Int64
 
@@ -175,7 +159,6 @@ func New(cfg Config) *Gateway {
 	g := &Gateway{
 		cfg:     cfg,
 		metrics: newGWMetrics(),
-		cache:   newRespCache(cfg.CacheCap),
 		client: &http.Client{
 			// Per-attempt timeouts come from the request context; the
 			// client itself must not add a second clock.
@@ -186,7 +169,7 @@ func New(cfg Config) *Gateway {
 			},
 		},
 		backends: make(map[string]*backend),
-		ring:     buildRing(nil, cfg.VNodes),
+		ring:     buildRing(nil),
 		stop:     make(chan struct{}),
 	}
 	g.wg.Add(1)
@@ -198,19 +181,28 @@ func New(cfg Config) *Gateway {
 func (g *Gateway) Config() Config { return g.cfg }
 
 // SetBackends installs the desired backend set, diffing against the
-// current one: new backends are added (they start routing once a probe
-// reports them ready), vanished backends drain (no new traffic;
-// in-flight proxied requests complete because the proxy holds its own
+// current one: vanished backends drain (no new traffic; in-flight
+// proxied requests complete because the proxy holds its own
 // reference), surviving backends keep their breaker and traffic state —
-// a reload is not an excuse to forget that a backend was misbehaving.
-// The /v1/plan and /v1/models caches are invalidated unconditionally:
-// a registry change is the explicit cache-invalidation event.
+// a reload is not an excuse to forget that a backend was misbehaving —
+// and each new backend, or known name on a new address, is probed
+// before SetBackends returns, so it routes as soon as it answers ready.
 func (g *Gateway) SetBackends(list []Backend) error {
 	reg := &Registry{Backends: list}
 	if err := reg.Validate(); err != nil {
 		return err
 	}
 	g.mu.Lock()
+	joined := g.swapBackendsLocked(list)
+	g.mu.Unlock()
+	g.probeEach(joined)
+	return nil
+}
+
+// swapBackendsLocked replaces the fleet and its ring with list and
+// returns the backends that joined with fresh state. g.mu must be held.
+func (g *Gateway) swapBackendsLocked(list []Backend) []*backend {
+	var joined []*backend
 	next := make(map[string]*backend, len(list))
 	for _, nb := range list {
 		if old, ok := g.backends[nb.Name]; ok && old.addr == nb.Addr {
@@ -223,12 +215,14 @@ func (g *Gateway) SetBackends(list []Backend) error {
 		}
 		// New backend, or a known name on a new address (a restart): fresh
 		// state, probed before it takes traffic.
-		next[nb.Name] = &backend{
+		b := &backend{
 			name:    nb.Name,
 			addr:    nb.Addr,
 			weight:  weightOr1(nb.Weight),
-			breaker: newBreaker(g.cfg.BreakerThreshold, g.cfg.BreakerCooldown),
+			breaker: newBreaker(breakerThreshold, g.cfg.BreakerCooldown),
 		}
+		next[nb.Name] = b
+		joined = append(joined, b)
 	}
 	for name, old := range g.backends {
 		if _, kept := next[name]; !kept {
@@ -238,11 +232,8 @@ func (g *Gateway) SetBackends(list []Backend) error {
 		}
 	}
 	g.backends = next
-	ordered := orderedBackends(next)
-	g.ring = buildRing(ordered, g.cfg.VNodes)
-	g.mu.Unlock()
-	g.cache.invalidateAll()
-	return nil
+	g.ring = buildRing(orderedBackends(next))
+	return joined
 }
 
 func weightOr1(w int) int {
@@ -289,12 +280,11 @@ func (g *Gateway) LoadRegistryFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := g.SetBackends(reg.Backends); err != nil {
-		return err
-	}
 	g.mu.Lock()
+	joined := g.swapBackendsLocked(reg.Backends)
 	g.artifacts = arts
 	g.mu.Unlock()
+	g.probeEach(joined)
 	g.reloads.Add(1)
 	return nil
 }
@@ -332,18 +322,28 @@ func (g *Gateway) artifactFor(model string) (*artifact.Artifact, bool) {
 	return a, ok
 }
 
-// artifactModels returns the pinned model names in sorted order, with
-// their artifacts.
-func (g *Gateway) artifactModels() ([]string, map[string]*artifact.Artifact) {
+// pinnedFleet returns the pinned artifacts when they cover the fleet:
+// at least one is pinned, and every model a ready backend advertises is
+// among them. Otherwise it returns nil.
+func (g *Gateway) pinnedFleet() map[string]*artifact.Artifact {
 	g.mu.RLock()
 	arts := g.artifacts
+	list := orderedBackends(g.backends)
 	g.mu.RUnlock()
-	names := make([]string, 0, len(arts))
-	for name := range arts {
-		names = append(names, name)
+	if len(arts) == 0 {
+		return nil
 	}
-	sort.Strings(names)
-	return names, arts
+	for _, b := range list {
+		b.mu.Lock()
+		for m := range b.models {
+			if b.ready && !b.draining && arts[m] == nil {
+				b.mu.Unlock()
+				return nil
+			}
+		}
+		b.mu.Unlock()
+	}
+	return arts
 }
 
 // Backends reports the current fleet's status, sorted by name.
@@ -367,26 +367,30 @@ func (g *Gateway) ringOrder(key uint64) []*backend {
 	return r.order(key)
 }
 
-// probeLoop drives the active health probes: every ProbeInterval it
-// snapshots the fleet and probes each backend concurrently.
+// probeLoop drives the periodic health probes: every ProbeInterval it
+// snapshots the fleet and probes each backend concurrently. It does not
+// probe at start: a gateway has no fleet until SetBackends or
+// LoadRegistryFile installs one, and those probe what they install.
 func (g *Gateway) probeLoop() {
 	defer g.wg.Done()
 	t := time.NewTicker(g.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
-		g.probeAll()
 		select {
 		case <-g.stop:
 			return
 		case <-t.C:
+			g.mu.RLock()
+			list := orderedBackends(g.backends)
+			g.mu.RUnlock()
+			g.probeEach(list)
 		}
 	}
 }
 
-func (g *Gateway) probeAll() {
-	g.mu.RLock()
-	list := orderedBackends(g.backends)
-	g.mu.RUnlock()
+// probeEach probes the backends concurrently and returns once every
+// probe has finished.
+func (g *Gateway) probeEach(list []*backend) {
 	var wg sync.WaitGroup
 	for _, b := range list {
 		wg.Add(1)
@@ -406,9 +410,10 @@ func (g *Gateway) Close() {
 	g.wg.Wait()
 }
 
-// WaitReady blocks until some backend is ready to serve model (probe
-// cycle permitting) or the timeout elapses. Intended for tests and
-// boot sequencing, not the request path.
+// WaitReady blocks until some backend is ready to serve model or the
+// timeout elapses. A backend that answered its join probe ready is
+// ready at once; one that did not waits for a later probe tick.
+// Intended for tests and boot sequencing, not the request path.
 func (g *Gateway) WaitReady(model string, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {

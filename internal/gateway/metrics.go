@@ -80,11 +80,16 @@ type Snapshot struct {
 	Failed     int64 `json:"failed_total"`
 	Retries    int64 `json:"retries_total"`
 	ProbeFails int64 `json:"probe_failures_total"`
-	Reloads    int64 `json:"registry_reloads_total"`
+	// Reloads counts registries installed by LoadRegistryFile: an
+	// operator's boot load and SIGHUP reloads, and each install an
+	// errpropd -spawn supervisor makes at boot and after a respawn.
+	Reloads int64 `json:"registry_reloads_total"`
 
-	CacheHits    int64 `json:"cache_hits_total"`
-	CacheMisses  int64 `json:"cache_misses_total"`
-	CacheEntries int   `json:"cache_entries"`
+	// CacheHits and CacheMisses are always zero: the gateway has no
+	// response cache. They remain only because the benchmark's
+	// bench/online.go still reads them; they go with that read.
+	CacheHits   int64 `json:"-"`
+	CacheMisses int64 `json:"-"`
 
 	Ready    bool            `json:"ready"`
 	Backends []BackendStatus `json:"backends"`
@@ -93,19 +98,15 @@ type Snapshot struct {
 // Metrics snapshots the whole metrics plane.
 func (g *Gateway) Metrics() Snapshot {
 	m := g.metrics
-	hits, misses, entries := g.cache.stats()
 	snap := Snapshot{
-		Requests:     m.requests.Load(),
-		OK:           m.ok.Load(),
-		Relayed5xx:   m.relayed5xx.Load(),
-		Failed:       m.failed.Load(),
-		Retries:      m.retries.Load(),
-		ProbeFails:   m.probeFails.Load(),
-		Reloads:      g.reloads.Load(),
-		CacheHits:    hits,
-		CacheMisses:  misses,
-		CacheEntries: entries,
-		Backends:     g.Backends(),
+		Requests:   m.requests.Load(),
+		OK:         m.ok.Load(),
+		Relayed5xx: m.relayed5xx.Load(),
+		Failed:     m.failed.Load(),
+		Retries:    m.retries.Load(),
+		ProbeFails: m.probeFails.Load(),
+		Reloads:    g.reloads.Load(),
+		Backends:   g.Backends(),
 	}
 	for _, b := range snap.Backends {
 		if b.Ready && !b.Draining {

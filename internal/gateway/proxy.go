@@ -48,11 +48,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // "the fleet is momentarily short a backend".
 func (g *Gateway) writeError(w http.ResponseWriter, status int, model, detail string) {
 	if status == http.StatusServiceUnavailable {
-		secs := int(math.Ceil(g.cfg.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", retryAfter)
 	}
 	body := map[string]string{"error": detail, "source": "gateway"}
 	if model != "" {
@@ -92,7 +88,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // (model, body) to a backend, and relay with bounded retry.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	g.metrics.requests.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		g.metrics.failed.Add(1)
@@ -119,16 +115,14 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := hashKey(model) ^ hashBytes(body)
-	g.relay(w, r, model, key, body, nil)
+	g.relay(w, r, model, key, body)
 }
 
-// handlePlan serves /v1/plan, preferring the gateway-side cache: plan
-// responses are deterministic per (model, plan parameters), so repeat
-// lookups never touch a backend until a registry reload invalidates
-// the cache.
+// handlePlan serves /v1/plan: from the model's pinned artifact when the
+// registry pins one, otherwise relayed to a backend.
 func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 	g.metrics.requests.Add(1)
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		g.metrics.failed.Add(1)
@@ -156,19 +150,7 @@ func (g *Gateway) handlePlan(w http.ResponseWriter, r *http.Request) {
 		g.planFromArtifact(w, art, peek.Model, body)
 		return
 	}
-	// The cache key is the request's exact bytes: it subsumes (model,
-	// format, tolerance, norm, quant fraction) — any plan-relevant field
-	// change misses and re-consults a backend.
-	cacheKey := "plan\x00" + string(body)
-	if resp, ok := g.cache.get(cacheKey); ok {
-		serveCached(w, resp)
-		g.metrics.ok.Add(1)
-		return
-	}
-	key := hashKey(peek.Model) ^ hashBytes(body)
-	g.relay(w, r, peek.Model, key, body, func(resp cachedResp) {
-		g.cache.put(cacheKey, resp)
-	})
+	g.relay(w, r, peek.Model, hashKey(peek.Model)^hashBytes(body), body)
 }
 
 // gwPlanRequest and gwPlanResponse mirror the backend's /v1/plan wire
@@ -292,17 +274,16 @@ type gwModelStats struct {
 	QueueDepth int     `json:"queue_depth"`
 }
 
-// handleModels serves /v1/models. A registry with pinned artifacts
-// answers entirely gateway-side from their static contract fields;
-// otherwise the response comes from cache or one backend (identical
-// static fields fleet-wide; the per-model counters are a snapshot from
-// fill time).
+// handleModels serves /v1/models. When the pinned artifacts cover every
+// model the ready fleet advertises, it answers gateway-side from their
+// static contract fields; otherwise one backend answers (identical
+// static fields fleet-wide, with that backend's own counters), so the
+// list never omits a model the fleet serves.
 func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 	g.metrics.requests.Add(1)
-	if names, arts := g.artifactModels(); len(names) > 0 {
-		out := make(map[string]gwModelStats, len(names))
-		for _, name := range names {
-			a := arts[name]
+	if arts := g.pinnedFleet(); arts != nil {
+		out := make(map[string]gwModelStats, len(arts))
+		for name, a := range arts {
 			out[name] = gwModelStats{
 				Format:     a.Format.String(),
 				InDim:      a.Net.InputDim,
@@ -315,30 +296,12 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 		g.metrics.ok.Add(1)
 		return
 	}
-	const cacheKey = "models"
-	if resp, ok := g.cache.get(cacheKey); ok {
-		serveCached(w, resp)
-		g.metrics.ok.Add(1)
-		return
-	}
-	g.relay(w, r, "", hashKey(cacheKey), nil, func(resp cachedResp) {
-		g.cache.put(cacheKey, resp)
-	})
-}
-
-func serveCached(w http.ResponseWriter, resp cachedResp) {
-	if resp.contentType != "" {
-		w.Header().Set("Content-Type", resp.contentType)
-	}
-	w.Header().Set("X-Errprop-Cache", "hit")
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
+	g.relay(w, r, "", hashKey("models"), nil)
 }
 
 // relay sends the request to the fleet with bounded retry and copies
 // the chosen backend's response to the client verbatim. model may be
-// empty for model-agnostic endpoints (/v1/models). cacheFill, when
-// non-nil, receives successful (2xx) responses for caching.
+// empty for model-agnostic endpoints (/v1/models).
 //
 // Retry policy: connection errors and 503s are retried — both mean "this
 // backend cannot answer right now" and both are safe to re-send because
@@ -346,7 +309,7 @@ func serveCached(w http.ResponseWriter, resp cachedResp) {
 // other response, including 4xx and non-503 5xx, is relayed as-is:
 // those are deterministic answers, and re-asking a different backend
 // would produce the same bytes.
-func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, model string, key uint64, body []byte, cacheFill func(cachedResp)) {
+func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, model string, key uint64, body []byte) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
 
@@ -403,7 +366,7 @@ func (g *Gateway) relay(w http.ResponseWriter, r *http.Request, model string, ke
 		// An answer. Relay it byte for byte.
 		b.proxiedOK.Add(1)
 		b.breaker.success()
-		g.relayResponse(w, resp, cacheFill)
+		g.relayResponse(w, resp)
 		return
 	}
 	// Attempts exhausted (or the request deadline consumed them).
@@ -489,7 +452,7 @@ func (g *Gateway) send(ctx context.Context, b *backend, r *http.Request, body []
 // relayResponse copies a backend response to the client verbatim —
 // status, content type, Retry-After, body bytes — so a gateway-fronted
 // fleet answers bit-identically to a single daemon.
-func (g *Gateway) relayResponse(w http.ResponseWriter, resp *http.Response, cacheFill func(cachedResp)) {
+func (g *Gateway) relayResponse(w http.ResponseWriter, resp *http.Response) {
 	defer resp.Body.Close()
 	if resp.StatusCode >= 500 {
 		g.metrics.relayed5xx.Add(1)
@@ -502,19 +465,6 @@ func (g *Gateway) relayResponse(w http.ResponseWriter, resp *http.Response, cach
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
-	}
-	if cacheFill != nil && resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
-		if err != nil {
-			// The backend died mid-body on a cacheable endpoint: the partial
-			// body must be neither cached nor relayed as if complete.
-			g.writeError(w, http.StatusBadGateway, "", fmt.Sprintf("backend response truncated: %v", err))
-			return
-		}
-		cacheFill(cachedResp{status: resp.StatusCode, contentType: ct, body: raw})
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(raw)
-		return
 	}
 	w.WriteHeader(resp.StatusCode)
 	_, _ = io.Copy(w, resp.Body)

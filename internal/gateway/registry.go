@@ -57,9 +57,9 @@ type Backend struct {
 
 // ArtifactRef pins one model's ahead-of-time compiled artifact
 // (internal/artifact) in the manifest: the gateway verifies the file
-// against the pinned checksum at load and then answers /v1/plan and
-// /v1/models for the model from the artifact itself, with zero backend
-// round-trips.
+// against the pinned checksum at load and then answers /v1/plan for the
+// model from the artifact itself, with zero backend round-trips, and
+// /v1/models too once every model the fleet serves is pinned.
 type ArtifactRef struct {
 	// Model is the model name the artifact serves.
 	Model string

@@ -7,12 +7,11 @@ import (
 )
 
 // ring is a consistent-hash ring over the gateway's backends. Each
-// backend contributes Weight * cfg.VNodes virtual points derived from
-// its *name* (not its address), so a backend that restarts on a new
-// port keeps its slice of the keyspace, and adding or removing one
-// backend remaps only the keys that hashed to its points — the property
-// that makes zero-downtime add/remove cheap on any gateway-side cache
-// keyed by backend affinity.
+// backend contributes Weight * vnodes virtual points derived from its
+// *name* (not its address), so a backend that restarts on a new port
+// keeps its slice of the keyspace, and adding or removing one backend
+// remaps only the keys that hashed to its points: every other key keeps
+// the backend it had, across any membership change.
 //
 // The ring is immutable once built; the gateway swaps whole rings under
 // its lock when the backend set changes.
@@ -56,9 +55,8 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// buildRing lays out the backends' virtual points. vnodes is the
-// per-weight-unit multiplier (Config.VNodes).
-func buildRing(backends []*backend, vnodes int) *ring {
+// buildRing lays out the backends' virtual points.
+func buildRing(backends []*backend) *ring {
 	var points []ringPoint
 	for _, b := range backends {
 		w := b.weight

@@ -18,8 +18,8 @@ func testBackends(n int) []*backend {
 // which is what lets a drill replay its routing decisions.
 func TestRingDeterministicOrder(t *testing.T) {
 	bs := testBackends(5)
-	r1 := buildRing(bs, 64)
-	r2 := buildRing(bs, 64)
+	r1 := buildRing(bs)
+	r2 := buildRing(bs)
 	for key := uint64(0); key < 1000; key += 37 {
 		o1, o2 := r1.order(key), r2.order(key)
 		if len(o1) != len(bs) || len(o2) != len(bs) {
@@ -37,7 +37,7 @@ func TestRingDeterministicOrder(t *testing.T) {
 // across backends — no backend starves and no backend owns everything.
 func TestRingBalance(t *testing.T) {
 	bs := testBackends(4)
-	r := buildRing(bs, 64)
+	r := buildRing(bs)
 	counts := make(map[*backend]int)
 	const keys = 4000
 	for i := 0; i < keys; i++ {
@@ -55,8 +55,8 @@ func TestRingBalance(t *testing.T) {
 // owned; every other key keeps its primary.
 func TestRingMinimalRemap(t *testing.T) {
 	bs := testBackends(4)
-	full := buildRing(bs, 64)
-	smaller := buildRing(bs[:3], 64)
+	full := buildRing(bs)
+	smaller := buildRing(bs[:3])
 	removed := bs[3]
 	const keys = 2000
 	moved := 0
@@ -82,7 +82,7 @@ func TestRingMinimalRemap(t *testing.T) {
 func TestRingWeight(t *testing.T) {
 	bs := testBackends(2)
 	bs[1].weight = 3
-	r := buildRing(bs, 64)
+	r := buildRing(bs)
 	counts := make(map[*backend]int)
 	const keys = 6000
 	for i := 0; i < keys; i++ {
@@ -98,7 +98,7 @@ func TestRingWeight(t *testing.T) {
 // so a backend restarting on a new port keeps its keyspace slice.
 func TestRingStableAcrossRestart(t *testing.T) {
 	bs := testBackends(3)
-	before := buildRing(bs, 64)
+	before := buildRing(bs)
 	owners := make(map[uint64]string)
 	for i := 0; i < 500; i++ {
 		k := hashKey(fmt.Sprintf("key-%d", i))
@@ -106,7 +106,7 @@ func TestRingStableAcrossRestart(t *testing.T) {
 	}
 	// "Restart" b1 on a different address.
 	bs[1] = &backend{name: "b1", addr: "127.0.0.1:19999", weight: 1}
-	after := buildRing(bs, 64)
+	after := buildRing(bs)
 	for k, name := range owners {
 		if got := after.order(k)[0].name; got != name {
 			t.Fatalf("key %x: owner changed %s -> %s across an address-only restart", k, name, got)

@@ -98,11 +98,13 @@ func TestModelsReportChecksum(t *testing.T) {
 		t.Fatalf("fp32 and int8 serve different weights but report one checksum %s", models["h2-fp32"].Checksum)
 	}
 
-	// A gateway pinning the compiled int8 artifact answers /v1/models
-	// itself; its entry must equal the spec-booted backend's.
+	// A gateway pinning both compiled artifacts answers /v1/models
+	// itself; each entry must equal the spec-booted backend's.
 	reg := &gateway.Registry{
-		Backends:  []gateway.Backend{{Name: "b0", Addr: strings.TrimPrefix(backend.URL, "http://"), Weight: 1}},
-		Artifacts: []gateway.ArtifactRef{{Model: "h2-int8", Path: "h2-int8.aot", Checksum: compiled["h2-int8"].Checksum}},
+		Backends: []gateway.Backend{{Name: "b0", Addr: strings.TrimPrefix(backend.URL, "http://"), Weight: 1}},
+	}
+	for _, name := range []string{"h2-fp32", "h2-int8"} {
+		reg.Artifacts = append(reg.Artifacts, gateway.ArtifactRef{Model: name, Path: name + ".aot", Checksum: compiled[name].Checksum})
 	}
 	regPath := filepath.Join(dir, "fleet.reg")
 	if err := gateway.WriteRegistryFile(regPath, reg); err != nil {
@@ -115,8 +117,10 @@ func TestModelsReportChecksum(t *testing.T) {
 	}
 	gw := httptest.NewServer(g.Handler())
 	t.Cleanup(gw.Close)
-	gwModels := getModels(t, gw.URL)
-	if got, want := gwModels["h2-int8"], models["h2-int8"]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("gateway /v1/models entry %+v != spec-booted backend's %+v", got, want)
+	if gwModels := getModels(t, gw.URL); !reflect.DeepEqual(gwModels, models) {
+		t.Fatalf("gateway /v1/models %+v != spec-booted backend's %+v", gwModels, models)
+	}
+	if n := g.Metrics().Backends[0].Requests; n != 0 {
+		t.Fatalf("gateway relayed /v1/models to the backend (%d requests); want it answered from the pinned artifacts", n)
 	}
 }
