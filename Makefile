@@ -34,15 +34,15 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout=35m ./...
 
-# ~33s total fuzz smoke, 3s per target: enough to catch a freshly
-# introduced panic without stalling CI. Targets are pkg:Fuzz pairs;
-# FuzzDecodeContainer exercises the checksummed v2 container framing
-# (with v1 seeds for the legacy path), FuzzUnframe the integrity frame
-# every other durable format shares, the checkpoint, score
-# manifest/cursor, gateway registry and artifact targets the decoders
-# built on it, and the two tensor targets are the differential kernel
-# fuzzers: blocked/fused engine kernels must stay byte-exact against
-# the naive reference loops over random shapes.
+# ~30s total fuzz smoke, 3s per target across 10 targets: enough to
+# catch a freshly introduced panic without stalling CI. Targets are
+# pkg:Fuzz pairs; FuzzDecodeContainer exercises the checksummed v2
+# container framing (with v1 seeds for the legacy path), FuzzUnframe the
+# integrity frame every other durable format shares, the checkpoint,
+# score manifest/cursor, gateway registry and artifact targets the
+# decoders built on it, and the tensor target is the differential
+# kernel fuzzer: the engine's blocked matmul must stay byte-exact
+# against the naive reference loop over random shapes.
 FUZZ_TARGETS = \
 	./internal/compress:FuzzDecodeContainer \
 	./internal/compress:FuzzHuffmanDecode \
@@ -53,8 +53,7 @@ FUZZ_TARGETS = \
 	./internal/score:FuzzDecodeCursor \
 	./internal/gateway:FuzzDecodeRegistry \
 	./internal/artifact:FuzzDecodeArtifact \
-	./internal/tensor:FuzzMulIntoBlocked \
-	./internal/tensor:FuzzIm2ColMatInto
+	./internal/tensor:FuzzMulIntoBlocked
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
@@ -202,9 +201,9 @@ bench-infer:
 	$(GO) test -run '^TestWriteInferBenchJSON$$' -count=1 -v ./internal/serve
 
 # One-pass bench smoke: the legacy-vs-engine forward benchmarks — MLP,
-# conv, attention, and the multi-lane engine variant — must run (10
-# iterations — correctness of the harness, not timing stability), so a
-# refactor cannot silently break the benchmark surface.
+# conv and attention — must run (10 iterations — correctness of the
+# harness, not timing stability), so a refactor cannot silently break
+# the benchmark surface.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkForward(Legacy|Engine)' -benchtime 10x ./internal/nn
 

@@ -27,6 +27,7 @@ import (
 
 	errprop "github.com/scidata/errprop"
 	"github.com/scidata/errprop/internal/detrand"
+	"github.com/scidata/errprop/internal/integrity"
 )
 
 func main() {
@@ -234,7 +235,7 @@ func writeSummary(path string, res *errprop.ScoreResult) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	return integrity.WriteFileAtomic(path, append(raw, '\n'))
 }
 
 func report(w *os.File, res *errprop.ScoreResult, wall time.Duration) {

@@ -23,6 +23,7 @@ import (
 	_ "github.com/scidata/errprop/internal/compress/mgard"
 	_ "github.com/scidata/errprop/internal/compress/sz"
 	_ "github.com/scidata/errprop/internal/compress/zfp"
+	"github.com/scidata/errprop/internal/integrity"
 )
 
 func main() {
@@ -99,7 +100,7 @@ func writeF64(path string, data []float64) error {
 	for i, v := range data {
 		binary.LittleEndian.PutUint64(raw[i*8:], math.Float64bits(v))
 	}
-	return os.WriteFile(path, raw, 0o644)
+	return integrity.WriteFileAtomic(path, raw)
 }
 
 func compressCmd(args []string) error {
@@ -132,7 +133,7 @@ func compressCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(fs.Arg(1), blob, 0o644); err != nil {
+	if err := integrity.WriteFileAtomic(fs.Arg(1), blob); err != nil {
 		return err
 	}
 	fmt.Printf("%s: %d -> %d bytes (ratio %.2f)\n", *codec, len(data)*8, len(blob),

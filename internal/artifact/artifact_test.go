@@ -87,7 +87,7 @@ func TestBuildDecodeRoundTrip(t *testing.T) {
 				// Cold-start path: bind the shipped program to the shipped
 				// weights; must equal a from-scratch compile of the serving
 				// network bit for bit.
-				fromArt, err := dec.Program.Bind(dec.Net, 8, 2)
+				fromArt, err := dec.Program.Bind(dec.Net, 8, 1)
 				if err != nil {
 					t.Fatalf("%s: Bind: %v", f, err)
 				}

@@ -12,8 +12,9 @@ import (
 // routes those sweeps through a compiled inference engine
 // (nn.CompileInference, bit-identical to Network.Forward, so measured
 // errors and certified bounds are unchanged to the last bit), compiled
-// once per network and cached for the life of the process. Networks the
-// engine cannot compile fall back to the legacy path.
+// once per network and cached for the life of the process. Every figure
+// network is spec-built with a known input width, so a compile failure
+// is a bug and panics like the experiments' other errors.
 
 // evalEngineBatch sizes the cached engines' buffer arenas; eval batches
 // larger than this still work (the arena grows to the high-water mark).
@@ -33,11 +34,11 @@ func evalForward(net *nn.Network, x *tensor.Matrix) *tensor.Matrix {
 	defer evalMu.Unlock()
 	eng, cached := evalEngines[net]
 	if !cached {
-		eng, _ = nn.CompileInference(net, evalEngineBatch) // nil on failure
+		var err error
+		if eng, err = nn.CompileInference(net, evalEngineBatch); err != nil {
+			panic(err)
+		}
 		evalEngines[net] = eng
-	}
-	if eng == nil {
-		return net.Forward(x, false)
 	}
 	return eng.Forward(x).Clone()
 }

@@ -10,12 +10,14 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"github.com/scidata/errprop/internal/dataset"
+	"github.com/scidata/errprop/internal/integrity"
 	"github.com/scidata/errprop/internal/nn"
 )
 
@@ -135,19 +137,17 @@ func loadCached(key string) *nn.Network {
 	return net
 }
 
-// saveCached persists a trained model if a model directory is configured.
+// saveCached persists a trained model if a model directory is
+// configured. The write is atomic, so a crash never leaves a torn model
+// behind; the cache is best effort, so a failed save is ignored.
 func saveCached(key string, net *nn.Network) {
 	dir := modelDir()
 	if dir == "" {
 		return
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	var buf bytes.Buffer
+	if err := net.Save(&buf); err != nil {
 		return
 	}
-	f, err := os.Create(filepath.Join(dir, key+".model"))
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	_ = net.Save(f)
+	_ = integrity.WriteFileAtomic(filepath.Join(dir, key+".model"), buf.Bytes())
 }

@@ -1,8 +1,49 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
+	"os"
 	"testing"
+
+	"github.com/scidata/errprop/internal/nn"
+	"github.com/scidata/errprop/internal/tensor"
 )
+
+// TestModelCacheRoundTrip: a model saved to $ERRPROP_MODEL_DIR loads
+// back with a bit-identical Forward, and the atomic write leaves only
+// the model file behind.
+func TestModelCacheRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("ERRPROP_MODEL_DIR", dir)
+	net, err := nn.MLPSpec("cache", []int{9, 16, 9}, nn.ActTanh, true).Build(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saveCached("cache-psn", net)
+	loaded := loadCached("cache-psn")
+	if loaded == nil {
+		t.Fatal("saved model did not load")
+	}
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.NewMatrix(9, 4)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
+	}
+	want, got := net.Forward(x, false), loaded.Forward(x, false)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: loaded %v, saved %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "cache-psn.model" {
+		t.Fatalf("model dir holds %v, want only cache-psn.model", entries)
+	}
+}
 
 func TestH2TaskTrains(t *testing.T) {
 	task := H2(PSN)

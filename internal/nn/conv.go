@@ -225,7 +225,7 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	}
 	batch := x.Cols
 	t := matToT4(x, c.InC, c.H, c.W)
-	//lint:ignore hotalloc legacy per-call layer path; the compiled engine (infer.go) unrolls via Im2ColMatInto into a reused buffer
+	//lint:ignore hotalloc legacy per-call layer path; the compiled engine (infer.go) reads taps in place through precomputed offsets (opConv)
 	cols := tensor.Im2Col(t, c.K, c.K, c.Stride, c.Pad)
 	var kw, z, out *tensor.Matrix
 	if train {

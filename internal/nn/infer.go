@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"github.com/scidata/errprop/internal/tensor"
 )
@@ -25,70 +24,46 @@ import (
 //     same multiplications in the same ascending-k order, the same
 //     zero-multiplicand skips, the same degenerate-case branches — so
 //     Engine.Forward output is == (not merely close to) the legacy
-//     Network.Forward output for any input. Blocking, fusion, and
-//     sharding reorder work only ACROSS independent output elements,
-//     never within one element's reduction; Inequality (3) certificates
-//     computed against the reference network therefore transfer to the
-//     engine verbatim.
+//     Network.Forward output for any input. Blocking and fusion reorder
+//     work only ACROSS independent output elements, never within one
+//     element's reduction; Inequality (3) certificates computed against
+//     the reference network therefore transfer to the engine verbatim.
 //   - Shared weights: ops hold read-only views into the source network's
 //     parameter storage (PSN layers get a private effective-weight
 //     scratch recomputed per call from the live alpha/sigma state), so N
 //     engines over one network cost no N-fold weight duplication, and a
 //     weight update to the network is visible to every engine.
 //
-// Program.Bind adds an optional lanes mode: Forward splits the batch
-// column-wise across that many goroutines executing the same op program
-// over per-lane arenas, each carved from its own single slab
-// allocation. Because every engine op maps batch columns independently
-// (eval-mode batchnorm uses frozen running statistics), the split is
-// pure data movement: lane boundaries are a fixed function of (batch,
-// lanes), the join copies lane outputs back in fixed ascending lane
-// order, and no float reduction crosses a lane boundary — the same
-// discipline as the data-parallel trainer, so one lane and N lanes
-// give exact == outputs.
-//
-// An Engine is not safe for concurrent use (its arenas are mutable
-// state); compile one per goroutine — they are cheap, sharing all
-// weights. Batches wider than maxBatch still work: the arenas grow once
-// to the new high-water mark (that growth allocates).
+// An Engine is not safe for concurrent use (its arena and the ops'
+// scratch are mutable state); compile one per goroutine — they are
+// cheap, sharing all weights. Batches wider than maxBatch still work:
+// the arena grows once to the new high-water mark (that growth
+// allocates).
 type Engine struct {
 	inDim, outDim, maxBatch int
 
-	lanes []*lane        // lanes[0] runs on the caller's goroutine
-	outM  *tensor.Matrix // sharded-mode join buffer (nil for 1 lane)
-	src   *tensor.Matrix // current call's input, read-only during a sharded call
-	wg    sync.WaitGroup
-}
-
-// lane is one shard's execution context: a private copy of the op
-// program (ops carry per-call scratch such as PSN effective weights and
-// attention workspaces, so they cannot be shared across goroutines) plus
-// a private buffer arena carved from one slab allocation.
-type lane struct {
-	eng  *Engine
+	// ops carry per-call scratch such as PSN effective weights and
+	// attention workspaces. bufs is the arena: slot 0 is the caller's
+	// input, bound per Forward call, and every other slot is a capped
+	// slice of one slab allocation.
 	ops  []inferOp
 	bufs []*tensor.Matrix
-	in0  *tensor.Matrix // slab-backed slot-0 buffer for sharded input slices
-	out  int            // arena index of the network output
-
-	lo, hi int    // column range of the current sharded call
-	start  func() // prebuilt closure: exec + wg.Done (no per-call alloc)
+	out  int // arena index of the network output
 }
 
 // inferOp is one step of the compiled program: read from arena slots,
 // write to an arena slot, allocation-free at steady state.
 type inferOp interface {
-	run(ln *lane, batch int)
+	run(e *Engine, batch int)
 	// describe renders the op for compiled-program golden files: stable,
 	// human-reviewable, one line.
 	describe() string
 }
 
-// CompileInference compiles net into a single-shard inference engine
-// with buffers sized for maxBatch-column inputs. It fails — rather than
-// degrading to a slow path — if the network contains a layer type the
-// compiler does not model or if the input dimension is not statically
-// known.
+// CompileInference compiles net into an inference engine with buffers
+// sized for maxBatch-column inputs. It fails — rather than degrading to
+// a slow path — if the network contains a layer type the compiler does
+// not model or if the input dimension is not statically known.
 //
 // Compilation finalizes PSN spectral-norm estimates (ensureSigma), so a
 // compiled engine's Forward never mutates the source network; multiple
@@ -111,69 +86,21 @@ func CompileInference(net *Network, maxBatch int) (*Engine, error) {
 }
 
 // Forward executes the compiled program on a (features x batch) matrix.
-// The returned matrix is owned by the engine and valid only until the
-// next Forward call; clone it to retain. Output is bit-identical to
-// Network.Forward(x, false) on the source network, for any shard count.
+// x is read, never written. The returned matrix is owned by the engine
+// and valid only until the next Forward call; clone it to retain. Output
+// is bit-identical to Network.Forward(x, false) on the source network.
 //
-//errprop:deterministic compiled plan replays the exact float schedule of the source network; shards split batch columns with a fixed boundary function and a fixed serial join order
+//errprop:deterministic compiled plan replays the exact float schedule of the source network
 func (e *Engine) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Rows != e.inDim {
 		panic(fmt.Sprintf("nn: engine input rows %d != %d", x.Rows, e.inDim))
 	}
 	batch := x.Cols
-	n := len(e.lanes)
-	if n > batch {
-		n = batch
+	e.bufs[0] = x
+	for _, op := range e.ops {
+		op.run(e, batch)
 	}
-	if n <= 1 {
-		ln := e.lanes[0]
-		ln.bufs[0] = x
-		for _, op := range ln.ops {
-			op.run(ln, batch)
-		}
-		return ln.bufs[ln.out]
-	}
-	// Fixed shard boundaries: a function of (batch, n) alone. The first
-	// batch%n lanes take one extra column.
-	base, rem := batch/n, batch%n
-	e.src = x
-	lo := 0
-	for l := 0; l < n; l++ {
-		w := base
-		if l < rem {
-			w++
-		}
-		e.lanes[l].lo, e.lanes[l].hi = lo, lo+w
-		lo += w
-	}
-	e.wg.Add(n - 1)
-	for l := 1; l < n; l++ {
-		go e.lanes[l].start()
-	}
-	e.lanes[0].exec()
-	e.wg.Wait()
-	// Fixed serial join order (lane 0, 1, ...): pure column copies, no
-	// float arithmetic, so the join cannot perturb results.
-	out := tensor.EnsureMatrix(e.outM, e.outDim, batch)
-	e.outM = out
-	for l := 0; l < n; l++ {
-		ln := e.lanes[l]
-		out.SetColRange(ln.lo, ln.bufs[ln.out])
-	}
-	return out
-}
-
-// exec runs the lane's op program over its column range of the current
-// sharded call. Restoring bufs[0] from the slab-backed in0 first keeps a
-// caller matrix bound by an earlier single-lane fast path from ever
-// being written through.
-func (ln *lane) exec() {
-	ln.in0 = ln.eng.src.ColRangeInto(ln.lo, ln.hi, ln.in0)
-	ln.bufs[0] = ln.in0
-	w := ln.hi - ln.lo
-	for _, op := range ln.ops {
-		op.run(ln, w)
-	}
+	return e.bufs[e.out]
 }
 
 // InputDim returns the engine's flattened input feature count.
@@ -186,18 +113,13 @@ func (e *Engine) OutputDim() int { return e.outDim }
 // MaxBatch returns the batch width the arena was preallocated for.
 func (e *Engine) MaxBatch() int { return e.maxBatch }
 
-// Shards returns the number of compiled worker lanes (1 when unsharded).
-func (e *Engine) Shards() int { return len(e.lanes) }
-
 // Program renders the compiled op sequence, one op per line — the
 // engine's auditable execution plan. Fusion decisions show up here, and
 // the golden-program regression tests pin these dumps so a compiler
-// change is a reviewable diff. All lanes compile the identical program;
-// lane 0's is rendered.
+// change is a reviewable diff.
 func (e *Engine) Program() []string {
-	ops := e.lanes[0].ops
-	out := make([]string, len(ops))
-	for i, op := range ops {
+	out := make([]string, len(e.ops))
+	for i, op := range e.ops {
 		out[i] = op.describe()
 	}
 	return out
@@ -219,9 +141,9 @@ func fusableWithAct(l Layer) bool {
 
 // ensure resizes arena slot i to rows x batch (reusing the preallocated
 // backing at steady state) and returns it.
-func (ln *lane) ensure(i, rows, batch int) *tensor.Matrix {
-	m := tensor.EnsureMatrix(ln.bufs[i], rows, batch)
-	ln.bufs[i] = m
+func (e *Engine) ensure(i, rows, batch int) *tensor.Matrix {
+	m := tensor.EnsureMatrix(e.bufs[i], rows, batch)
+	e.bufs[i] = m
 	return m
 }
 
@@ -263,7 +185,7 @@ type opDense struct {
 	in, out int
 }
 
-func (o *opDense) run(ln *lane, batch int) {
+func (o *opDense) run(e *Engine, batch int) {
 	d := o.l
 	if d.PSN {
 		if d.sigmaRaw == 0 {
@@ -275,10 +197,10 @@ func (o *opDense) run(ln *lane, batch int) {
 			}
 		}
 	}
-	x := ln.bufs[o.in]
-	out := ln.ensure(o.out, d.Out, batch)
+	x := e.bufs[o.in]
+	out := e.ensure(o.out, d.Out, batch)
 	out = o.w.MulIntoBlocked(x, out)
-	ln.bufs[o.out] = out
+	e.bufs[o.out] = out
 	if o.act != nil {
 		for r := 0; r < out.Rows; r++ {
 			b := d.B.Data[r]
@@ -333,12 +255,12 @@ func convTapOffsets(c *Conv2D) []int32 {
 }
 
 // opConv is the fused implicit-im2col convolution: instead of
-// materializing the im2col matrix and multiplying (the PR 5 path), it
-// computes each output element's kw-row-dot-column directly from the
-// input using the precomputed tap offsets, in a 2x4 (output channel x
-// batch) register tile. Bit-identity with Im2ColMatInto + MulInto, per
-// output element: the k loop visits taps in the identical ascending
-// (ch,ky,kx) order; kw[oc][k] == 0 skips the tap exactly like MulInto's
+// materializing the im2col matrix and multiplying, it computes each
+// output element's kw-row-dot-column directly from the input using the
+// precomputed tap offsets, in a 2x4 (output channel x batch) register
+// tile. Bit-identity with Conv2D.Forward's Im2Col + Mul, per output
+// element: the k loop visits taps in the identical ascending (ch,ky,kx)
+// order; kw[oc][k] == 0 skips the tap exactly like Mul's
 // zero-multiplicand skip; and padded taps multiply a loaded 0.0 from the
 // zeros buffer — the same `+= a*0` the materialized path performs — so
 // even sign-of-zero effects match. Bias (and any fused activation) is
@@ -357,7 +279,7 @@ type opConv struct {
 	in, out int
 }
 
-func (o *opConv) run(ln *lane, batch int) {
+func (o *opConv) run(e *Engine, batch int) {
 	c := o.l
 	if c.PSN {
 		if c.sigmaRaw == 0 {
@@ -369,8 +291,8 @@ func (o *opConv) run(ln *lane, batch int) {
 			}
 		}
 	}
-	x := ln.bufs[o.in]
-	out := ln.ensure(o.out, o.outC*o.spatial, batch)
+	x := e.bufs[o.in]
+	out := e.ensure(o.out, o.outC*o.spatial, batch)
 	if batch > len(o.zeros) {
 		o.zeros = make([]float64, batch) // arena growth past maxBatch
 	}
@@ -519,9 +441,9 @@ type opAct struct {
 	in, out int
 }
 
-func (o *opAct) run(ln *lane, batch int) {
-	x := ln.bufs[o.in]
-	out := ln.ensure(o.out, x.Rows, batch)
+func (o *opAct) run(e *Engine, batch int) {
+	x := e.bufs[o.in]
+	out := e.ensure(o.out, x.Rows, batch)
 	for i, v := range x.Data {
 		out.Data[i] = o.l.apply(v)
 	}
@@ -537,9 +459,9 @@ type opRound struct {
 	in, out int
 }
 
-func (o *opRound) run(ln *lane, batch int) {
-	x := ln.bufs[o.in]
-	out := ln.ensure(o.out, x.Rows, batch)
+func (o *opRound) run(e *Engine, batch int) {
+	x := e.bufs[o.in]
+	out := e.ensure(o.out, x.Rows, batch)
 	for i, v := range x.Data {
 		out.Data[i] = o.l.Format.Round(v)
 	}
@@ -556,11 +478,11 @@ type opMaxPool struct {
 	in, out int
 }
 
-func (o *opMaxPool) run(ln *lane, batch int) {
+func (o *opMaxPool) run(e *Engine, batch int) {
 	p := o.l
-	x := ln.bufs[o.in]
+	x := e.bufs[o.in]
 	oh, ow := p.OutH(), p.OutW()
-	out := ln.ensure(o.out, p.C*oh*ow, batch)
+	out := e.ensure(o.out, p.C*oh*ow, batch)
 	for c := 0; c < p.C; c++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -593,11 +515,11 @@ type opAvgPool struct {
 	in, out int
 }
 
-func (o *opAvgPool) run(ln *lane, batch int) {
+func (o *opAvgPool) run(e *Engine, batch int) {
 	p := o.l
-	x := ln.bufs[o.in]
+	x := e.bufs[o.in]
 	oh, ow := p.OutH(), p.OutW()
-	out := ln.ensure(o.out, p.C*oh*ow, batch)
+	out := e.ensure(o.out, p.C*oh*ow, batch)
 	inv := 1 / float64(p.K*p.K)
 	for c := 0; c < p.C; c++ {
 		for oy := 0; oy < oh; oy++ {
@@ -628,12 +550,12 @@ type opGAP struct {
 	in, out int
 }
 
-func (o *opGAP) run(ln *lane, batch int) {
+func (o *opGAP) run(e *Engine, batch int) {
 	p := o.l
-	x := ln.bufs[o.in]
+	x := e.bufs[o.in]
 	spatial := p.H * p.W
 	inv := 1 / float64(spatial)
-	out := ln.ensure(o.out, p.C, batch)
+	out := e.ensure(o.out, p.C, batch)
 	for c := 0; c < p.C; c++ {
 		for n := 0; n < batch; n++ {
 			var s float64
@@ -655,11 +577,11 @@ type opUpsample struct {
 	in, out int
 }
 
-func (o *opUpsample) run(ln *lane, batch int) {
+func (o *opUpsample) run(e *Engine, batch int) {
 	u := o.l
-	x := ln.bufs[o.in]
+	x := e.bufs[o.in]
 	oh, ow := 2*u.H, 2*u.W
-	out := ln.ensure(o.out, u.C*oh*ow, batch)
+	out := e.ensure(o.out, u.C*oh*ow, batch)
 	for c := 0; c < u.C; c++ {
 		for y := 0; y < u.H; y++ {
 			for xx := 0; xx < u.W; xx++ {
@@ -689,11 +611,11 @@ type opBatchNorm struct {
 	in, out int
 }
 
-func (o *opBatchNorm) run(ln *lane, batch int) {
+func (o *opBatchNorm) run(e *Engine, batch int) {
 	bn := o.l
-	x := ln.bufs[o.in]
+	x := e.bufs[o.in]
 	spatial := bn.H * bn.W
-	out := ln.ensure(o.out, x.Rows, batch)
+	out := e.ensure(o.out, x.Rows, batch)
 	for c := 0; c < bn.C; c++ {
 		mean := bn.RunMean.Data[c]
 		varv := bn.RunVar.Data[c]
@@ -744,10 +666,10 @@ type opAttention struct {
 	in, out             int
 }
 
-func (o *opAttention) run(ln *lane, batch int) {
+func (o *opAttention) run(e *Engine, batch int) {
 	s := o.l
-	x := ln.bufs[o.in]
-	out := ln.ensure(o.out, s.InDim(), batch)
+	x := e.bufs[o.in]
+	out := e.ensure(o.out, s.InDim(), batch)
 	invSqrtD := 1 / math.Sqrt(float64(s.D))
 	for n := 0; n < batch; n++ {
 		for t := 0; t < s.T; t++ {
@@ -819,9 +741,9 @@ type opAdd struct {
 	a, b, out int
 }
 
-func (o *opAdd) run(ln *lane, batch int) {
-	a, b := ln.bufs[o.a], ln.bufs[o.b]
-	out := ln.ensure(o.out, a.Rows, batch)
+func (o *opAdd) run(e *Engine, batch int) {
+	a, b := e.bufs[o.a], e.bufs[o.b]
+	out := e.ensure(o.out, a.Rows, batch)
 	switch {
 	case o.act.isReLU():
 		for i := range a.Data {
@@ -849,9 +771,9 @@ type opConcat struct {
 	in, branch, out int
 }
 
-func (o *opConcat) run(ln *lane, batch int) {
-	x, br := ln.bufs[o.in], ln.bufs[o.branch]
-	out := ln.ensure(o.out, o.xRows+br.Rows, batch)
+func (o *opConcat) run(e *Engine, batch int) {
+	x, br := e.bufs[o.in], e.bufs[o.branch]
+	out := e.ensure(o.out, o.xRows+br.Rows, batch)
 	copy(out.Data[:o.xRows*batch], x.Data)
 	copy(out.Data[o.xRows*batch:], br.Data)
 }

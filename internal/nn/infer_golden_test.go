@@ -64,15 +64,6 @@ func TestGoldenEnginePrograms(t *testing.T) {
 				t.Errorf("compiled program drifted from golden %s.\ngot:\n%s\nwant:\n%s\nIf intentional, regenerate with -update and review the diff.",
 					spec.Name, got, want)
 			}
-
-			// Every lane of a sharded engine compiles the identical program.
-			sharded, err := bindSharded(net, 8, 3)
-			if err != nil {
-				t.Fatalf("compile sharded: %v", err)
-			}
-			if sgot := strings.Join(sharded.Program(), "\n") + "\n"; sgot != got {
-				t.Errorf("sharded engine compiled a different program:\n%s\nvs unsharded:\n%s", sgot, got)
-			}
 		})
 	}
 }

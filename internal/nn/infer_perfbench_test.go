@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Benchmarks for the blocked/fused/sharded engine paths on the paper's
+// Benchmarks for the blocked/fused engine paths on the paper's
 // heavier model shapes (the MLP benchmarks live in infer_test.go). Each
 // naive-vs-engine pair shares its spec and input so ns/op deltas are the
 // kernel schedule alone; BENCH_infer.json rows are produced from the
@@ -69,15 +69,6 @@ func BenchmarkForwardLegacyConv(b *testing.B) {
 func BenchmarkForwardEngineConv(b *testing.B) {
 	net := benchConvNet(b)
 	eng, err := CompileInference(net, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runForwardBench(b, net.InputDim, func(x *tensor.Matrix) { eng.Forward(x) })
-}
-
-func BenchmarkForwardEngineConvSharded(b *testing.B) {
-	net := benchConvNet(b)
-	eng, err := bindSharded(net, 64, 2)
 	if err != nil {
 		b.Fatal(err)
 	}

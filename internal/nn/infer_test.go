@@ -62,7 +62,9 @@ func randInferBatch(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 // every golden spec, Engine.Forward must equal Network.Forward exactly
 // (==, not approximately) over seeded random batches, including batches
 // beyond the compiled maxBatch (arena growth) and repeated calls
-// (buffer reuse).
+// (buffer reuse). Forward binds the caller's matrix as its input slot,
+// so every input must also be unchanged at the end — neither its own
+// call nor a later one may write through that binding.
 func TestEngineBitIdenticalToLegacyForward(t *testing.T) {
 	for _, spec := range goldenInferSpecs() {
 		spec := spec
@@ -81,10 +83,14 @@ func TestEngineBitIdenticalToLegacyForward(t *testing.T) {
 				t.Fatalf("OutputDim %d != InferShapes %d", eng.OutputDim(), wantOut)
 			}
 			rng := rand.New(rand.NewSource(11))
+			var inputs []*tensor.Matrix
+			var snaps [][]float64
 			for _, batch := range []int{1, 5, 8, 11} {
 				for rep := 0; rep < 2; rep++ {
 					x := randInferBatch(rng, spec.InputDim, batch)
 					want := net.Forward(x, false)
+					inputs = append(inputs, x)
+					snaps = append(snaps, append([]float64(nil), x.Data...))
 					got := eng.Forward(x)
 					if got.Rows != want.Rows || got.Cols != want.Cols {
 						t.Fatalf("batch %d: shape %dx%d != %dx%d", batch, got.Rows, got.Cols, want.Rows, want.Cols)
@@ -94,7 +100,38 @@ func TestEngineBitIdenticalToLegacyForward(t *testing.T) {
 					}
 				}
 			}
+			for i, x := range inputs {
+				if !bitEqual(x.Data, snaps[i]) {
+					t.Fatalf("input %d: Forward wrote the caller's matrix", i)
+				}
+			}
 		})
+	}
+}
+
+// TestEngineShardInputNotAliased pins the input binding across batch
+// shapes: a single-column call followed by a wider call that outgrows
+// the compiled maxBatch (arena growth) must stay bit-identical to
+// Network.Forward and must not write through the stale binding of the
+// earlier caller's matrix.
+func TestEngineShardInputNotAliased(t *testing.T) {
+	spec := MLPSpec("alias", []int{6, 9, 4}, ActTanh, false)
+	net := buildGolden(t, spec, 11)
+	eng, err := CompileInference(net, 4)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	x1 := randInferBatch(rng, 6, 1)
+	snap := append([]float64(nil), x1.Data...)
+	eng.Forward(x1)
+	x8 := randInferBatch(rng, 6, 8)
+	want := net.Forward(x8, false)
+	if got := eng.Forward(x8); !bitEqual(got.Data, want.Data) {
+		t.Fatal("wide call after single-column call lost bit-identity")
+	}
+	if !bitEqual(x1.Data, snap) {
+		t.Fatal("wide call wrote through a stale input binding into caller memory")
 	}
 }
 
@@ -150,53 +187,6 @@ func TestEngineForwardZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state Engine.Forward: %v allocs/op, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestForwardVecEngineBacked pins the ForwardVec refactor: bit-identical
-// to the legacy matrix path, the result is an independent copy, and the
-// steady state allocates only the returned vector.
-func TestForwardVecEngineBacked(t *testing.T) {
-	spec := MLPSpec("vec", []int{7, 12, 4}, ActTanh, true)
-	net := buildGolden(t, spec, 9)
-	legacy := buildGolden(t, spec, 9)
-	rng := rand.New(rand.NewSource(17))
-	x := make(tensor.Vector, 7)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := legacy.Forward(tensor.NewMatrixFrom(7, 1, append(tensor.Vector(nil), x...)), false)
-	got := net.ForwardVec(x)
-	if len(got) != want.Rows || !bitEqual(got, want.Data) {
-		t.Fatal("engine-backed ForwardVec not bit-identical to legacy Forward")
-	}
-	// The result must be an independent copy, not a view of engine state.
-	got[0] += 1e9
-	again := net.ForwardVec(x)
-	if !bitEqual(again, want.Data) {
-		t.Fatal("ForwardVec result aliases engine-owned memory")
-	}
-	if allocs := testing.AllocsPerRun(30, func() { net.ForwardVec(x) }); allocs > 1 {
-		t.Fatalf("steady-state ForwardVec: %v allocs/op, want <= 1 (the returned vector)", allocs)
-	}
-}
-
-// TestForwardVecFallback: hand-assembled networks (no compilable spec
-// path) must keep working through the legacy route.
-func TestForwardVecFallback(t *testing.T) {
-	// InputDim 0 marks a hand-assembled network; compilation must fail
-	// and ForwardVec must still produce the legacy result.
-	rng := rand.New(rand.NewSource(21))
-	d := NewDense("fc", 4, 3, ActTanh, false, rng)
-	net := &Network{Layers: []Layer{d}}
-	if _, err := CompileInference(net, 4); err == nil {
-		t.Fatal("expected compile error for network without static input dim")
-	}
-	x := tensor.Vector{0.1, -0.2, 0.3, -0.4}
-	want := net.Forward(tensor.NewMatrixFrom(4, 1, append(tensor.Vector(nil), x...)), false)
-	got := net.ForwardVec(x)
-	if !bitEqual(got, want.Data) {
-		t.Fatal("fallback ForwardVec differs from legacy Forward")
 	}
 }
 

@@ -15,15 +15,6 @@ type Network struct {
 	// the construction of quantized inference copies. May be nil for
 	// hand-assembled networks.
 	Spec *Spec
-
-	// Lazily compiled 1-column inference engine backing ForwardVec, plus
-	// its reusable input buffer. vecTried gates a single compile attempt;
-	// networks the engine cannot compile (hand-assembled layer types)
-	// fall back to the allocating path. Clone() rebuilds from Spec, so
-	// these unexported fields never leak across copies.
-	vecEng   *Engine
-	vecIn    *tensor.Matrix
-	vecTried bool
 }
 
 // Forward runs the network on a (features x batch) matrix.
@@ -37,27 +28,11 @@ func (n *Network) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	return h
 }
 
-// ForwardVec runs a single sample through the network. It routes
-// through a cached 1-column compiled engine (bit-identical to Forward;
-// the only steady-state allocation is the returned vector), falling back
-// to the legacy matrix path for networks the engine cannot compile.
-// Like Forward, it is not safe for concurrent use.
+// ForwardVec runs a single sample through the network: Forward on a
+// one-column matrix. The result is an independent copy of the output.
 func (n *Network) ForwardVec(x tensor.Vector) tensor.Vector {
-	if !n.vecTried {
-		n.vecTried = true
-		if eng, err := CompileInference(n, 1); err == nil {
-			n.vecEng = eng
-		}
-	}
-	if n.vecEng == nil {
-		//lint:ignore hotalloc legacy fallback for hand-assembled networks; the compiled-engine path above is allocation-free
-		m := tensor.NewMatrixFrom(len(x), 1, x)
-		out := n.Forward(m, false)
-		return tensor.Vector(out.Data)
-	}
-	n.vecIn = tensor.EnsureMatrix(n.vecIn, len(x), 1)
-	copy(n.vecIn.Data, x)
-	out := n.vecEng.Forward(n.vecIn)
+	//lint:ignore hotalloc single-sample convenience over the reference path; compiled engines are the zero-alloc fast path
+	out := n.Forward(tensor.NewMatrixFrom(len(x), 1, x), false)
 	return append(tensor.Vector(nil), out.Data...)
 }
 

@@ -12,8 +12,8 @@ package nn
 //     yields the same Program, byte for byte.
 //   - Program.Bind resolves a Program against a live network: it
 //     validates every op against the layer it references, allocates the
-//     per-lane buffer arenas for a (maxBatch, shards) geometry, and
-//     produces a runnable Engine.
+//     buffer arena for maxBatch-column inputs, and produces a runnable
+//     Engine.
 //
 // The split is what makes ahead-of-time artifacts possible: a Program
 // round-trips through EncodeBinary/DecodeProgram, travels inside an
@@ -290,21 +290,24 @@ func (b *programBuilder) layer(l Layer, in, rows int, path string) (int, int, er
 }
 
 // Bind resolves the program against net and materializes a runnable
-// Engine with buffers for maxBatch-column inputs split across shards
-// lanes (clamped to maxBatch; outputs are bit-identical for every lane
-// count). Every op is validated against the layer it references — index
-// range, layer type, slot shapes — so a program decoded from an artifact
-// cannot silently bind to a structurally different network; a mismatch
-// is a typed error, never a wrong answer.
-func (p *Program) Bind(net *Network, maxBatch, shards int) (*Engine, error) {
+// Engine with buffers for maxBatch-column inputs. Every op is validated
+// against the layer it references — index range, layer type, slot
+// shapes — so a program decoded from an artifact cannot silently bind to
+// a structurally different network; a mismatch is a typed error, never a
+// wrong answer.
+//
+// lanes must be 1: the engine runs one op program on the caller's
+// goroutine. The argument remains only because existing callers pass it;
+// any other value is refused.
+func (p *Program) Bind(net *Network, maxBatch, lanes int) (*Engine, error) {
 	if net == nil {
 		return nil, fmt.Errorf("nn: Program.Bind: nil network")
 	}
 	if maxBatch <= 0 {
 		return nil, fmt.Errorf("nn: Program.Bind: maxBatch %d must be positive", maxBatch)
 	}
-	if shards <= 0 {
-		return nil, fmt.Errorf("nn: Program.Bind: shards %d must be positive", shards)
+	if lanes != 1 {
+		return nil, fmt.Errorf("nn: Program.Bind: lanes %d: the engine runs exactly 1", lanes)
 	}
 	if p.InDim != net.InputDim {
 		return nil, fmt.Errorf("nn: Program.Bind: program input dim %d != network input dim %d", p.InDim, net.InputDim)
@@ -320,49 +323,32 @@ func (p *Program) Bind(net *Network, maxBatch, shards int) (*Engine, error) {
 	if p.Out < 0 || p.Out >= len(p.SlotRows) || p.SlotRows[p.Out] != p.OutDim {
 		return nil, fmt.Errorf("nn: Program.Bind: output slot %d inconsistent with output dim %d", p.Out, p.OutDim)
 	}
-	flat := flattenLayers(net.Layers, nil)
-	if shards > maxBatch {
-		shards = maxBatch
+	ops, err := p.bindOps(flattenLayers(net.Layers, nil), maxBatch)
+	if err != nil {
+		return nil, err
 	}
-	laneWidth := (maxBatch + shards - 1) / shards
-	e := &Engine{inDim: p.InDim, outDim: p.OutDim, maxBatch: maxBatch}
-	for l := 0; l < shards; l++ {
-		ops, err := p.bindOps(flat, laneWidth)
-		if err != nil {
-			return nil, err
-		}
-		ln := &lane{eng: e, ops: ops, out: p.Out}
-		// One slab per lane; every arena slot is a capped slice of it, so
-		// slot growth can never silently overlap a neighbor.
-		total := 0
-		for _, r := range p.SlotRows {
-			total += r * laneWidth
-		}
-		slab := make([]float64, total)
-		off := 0
-		for _, r := range p.SlotRows {
-			sz := r * laneWidth
-			ln.bufs = append(ln.bufs, tensor.NewMatrixFrom(r, laneWidth, slab[off:off+sz:off+sz]))
-			off += sz
-		}
-		ln.in0 = ln.bufs[0]
-		ln.start = func() {
-			ln.exec()
-			e.wg.Done()
-		}
-		e.lanes = append(e.lanes, ln)
+	e := &Engine{inDim: p.InDim, outDim: p.OutDim, maxBatch: maxBatch, ops: ops, out: p.Out}
+	// Slot 0 is bound to the caller's input by Forward. Every other slot
+	// is a capped slice of one slab, so slot growth can never silently
+	// overlap a neighbor.
+	total := 0
+	for _, r := range p.SlotRows[1:] {
+		total += r * maxBatch
 	}
-	if shards > 1 {
-		e.outM = tensor.NewMatrix(e.outDim, maxBatch)
+	slab := make([]float64, total)
+	e.bufs = make([]*tensor.Matrix, len(p.SlotRows))
+	off := 0
+	for i := 1; i < len(p.SlotRows); i++ {
+		sz := p.SlotRows[i] * maxBatch
+		e.bufs[i] = tensor.NewMatrixFrom(p.SlotRows[i], maxBatch, slab[off:off+sz:off+sz])
+		off += sz
 	}
 	return e, nil
 }
 
-// bindOps builds one lane's runnable op list (ops carry per-call scratch
-// such as PSN effective weights and attention workspaces, so they cannot
-// be shared across lanes), validating every program reference against
-// the flattened layer list.
-func (p *Program) bindOps(flat []Layer, laneWidth int) ([]inferOp, error) {
+// bindOps builds the runnable op list, validating every program
+// reference against the flattened layer list.
+func (p *Program) bindOps(flat []Layer, maxBatch int) ([]inferOp, error) {
 	nSlots := len(p.SlotRows)
 	ops := make([]inferOp, 0, len(p.Ops))
 	for i := range p.Ops {
@@ -459,7 +445,7 @@ func (p *Program) bindOps(flat []Layer, laneWidth int) ([]inferOp, error) {
 				spatial: spatial,
 				k2c:     t.InC * t.K * t.K,
 				offs:    convTapOffsets(t),
-				zeros:   make([]float64, laneWidth),
+				zeros:   make([]float64, maxBatch),
 			}
 			if t.PSN {
 				t.ensureSigma()

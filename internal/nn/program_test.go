@@ -30,11 +30,11 @@ func TestProgramRoundTrip(t *testing.T) {
 				t.Fatal("decode -> re-encode is not byte-identical")
 			}
 
-			direct, err := p.Bind(net, 8, 2)
+			direct, err := p.Bind(net, 8, 1)
 			if err != nil {
 				t.Fatalf("Bind original: %v", err)
 			}
-			bound, err := p2.Bind(net, 8, 2)
+			bound, err := p2.Bind(net, 8, 1)
 			if err != nil {
 				t.Fatalf("Bind: %v", err)
 			}
@@ -55,7 +55,8 @@ func TestProgramRoundTrip(t *testing.T) {
 }
 
 // TestProgramBindRejectsMismatchedNetwork: binding a program against a
-// structurally different network must fail typed, never run.
+// structurally different network, or for any lane count but 1, must
+// fail typed, never run.
 func TestProgramBindRejectsMismatchedNetwork(t *testing.T) {
 	mlp := buildGolden(t, MLPSpec("a", []int{9, 16, 12, 9}, ActTanh, true), 7)
 	p, err := CompileProgram(mlp)
@@ -69,6 +70,11 @@ func TestProgramBindRejectsMismatchedNetwork(t *testing.T) {
 	wrongDim := buildGolden(t, MLPSpec("c", []int{6, 10, 4}, ActSigmoid, false), 7)
 	if _, err := p.Bind(wrongDim, 8, 1); err == nil {
 		t.Fatal("binding against a different input width must fail")
+	}
+	for _, lanes := range []int{0, 2, -1} {
+		if _, err := p.Bind(mlp, 8, lanes); err == nil || !strings.Contains(err.Error(), "lanes") {
+			t.Fatalf("lanes %d: got %v, want a lanes refusal", lanes, err)
+		}
 	}
 }
 

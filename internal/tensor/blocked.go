@@ -2,35 +2,32 @@ package tensor
 
 import "fmt"
 
-// Cache-blocked, register-tiled matmul kernels for the compiled
-// inference engine. Each *IntoBlocked variant is BIT-IDENTICAL to its
-// naive counterpart (MulInto / TMulInto / MulBTInto): for every output
-// element the same multiplications are issued in the same ascending-k
-// order, the same zero-multiplicand skips are taken, and the sums round
-// through float64 identically — blocking only reorders work ACROSS
-// independent output elements, never within one element's reduction.
-// (The one unavoidable carve-out: when an element's result is NaN its
-// payload bits are unspecified — IEEE 754 leaves NaN propagation choice
-// open and the compiler may commute float adds — so "identical" means
-// bit-identical for every non-NaN result and NaN-for-NaN otherwise.
-// Real networks have finite weights; the carve-out is unobservable in
-// any certified deployment.)
-// That invariant is what lets the engine swap these in under certified
+// Cache-blocked, register-tiled matmul kernel for the compiled inference
+// engine. MulIntoBlocked is BIT-IDENTICAL to its naive counterpart
+// MulInto: for every output element the same multiplications are issued
+// in the same ascending-k order, the same zero-multiplicand skips are
+// taken, and the sums round through float64 identically — blocking only
+// reorders work ACROSS independent output elements, never within one
+// element's reduction. (The one unavoidable carve-out: when an element's
+// result is NaN its payload bits are unspecified — IEEE 754 leaves NaN
+// propagation choice open and the compiler may commute float adds — so
+// "identical" means bit-identical for every non-NaN result and
+// NaN-for-NaN otherwise. Real networks have finite weights; the
+// carve-out is unobservable in any certified deployment.)
+// That invariant is what lets the engine swap it in under certified
 // Inequality (3) error bounds without a recertification pass; it is
 // enforced by differential exactness tests and the FuzzMulIntoBlocked
 // target (see blocked_test.go).
 //
-// The block sizes are fixed constants, not tuned at runtime, so a given
+// The block size is a fixed constant, not tuned at runtime, so a given
 // shape always executes the same schedule on every machine.
 //
-// Scheme: MulIntoBlocked and TMulIntoBlocked broadcast a 4-row panel of
-// A coefficients down a streamed row of B (one B-row load feeds four
-// output rows — 4x arithmetic intensity on the streamed operand);
-// MulBTIntoBlocked keeps a 2x4 register tile of dot-product accumulators
-// live across the shared k loop. 4 rows * 8 bytes keeps every hot panel
-// inside L1 for the model shapes the engine compiles.
+// Scheme: a 4-row panel of A coefficients is broadcast down a streamed
+// row of B (one B-row load feeds four output rows — 4x arithmetic
+// intensity on the streamed operand). 4 rows * 8 bytes keeps every hot
+// panel inside L1 for the model shapes the engine compiles.
 
-// mulBlockRows is the output-row panel height for the broadcast kernels.
+// mulBlockRows is the output-row panel height.
 const mulBlockRows = 4
 
 // MulIntoBlocked computes m * b into out exactly like MulInto — same
@@ -100,135 +97,6 @@ func (m *Matrix) MulIntoBlocked(b, out *Matrix) *Matrix {
 			for j, bv := range brow {
 				orow[j] += a * bv
 			}
-		}
-	}
-	return out
-}
-
-// TMulIntoBlocked computes m^T * b into out exactly like TMulInto (bit
-// for bit, same panics). The k loop stays outermost — preserving each
-// output element's ascending-k accumulation order — while output rows
-// are updated in panels of mulBlockRows so one streamed B row feeds four
-// rank-1 updates. out must not alias m or b.
-func (m *Matrix) TMulIntoBlocked(b, out *Matrix) *Matrix {
-	if m.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: tmul shape mismatch (%dx%d)^T * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out = ZeroMatrix(EnsureMatrix(out, m.Cols, b.Cols))
-	n := b.Cols
-	for k := 0; k < m.Rows; k++ {
-		arow := m.Data[k*m.Cols : (k+1)*m.Cols]
-		brow := b.Data[k*n : (k+1)*n]
-		i := 0
-		for ; i+mulBlockRows <= m.Cols; i += mulBlockRows {
-			c0, c1, c2, c3 := arow[i], arow[i+1], arow[i+2], arow[i+3]
-			o0 := out.Data[i*n : (i+1)*n]
-			o1 := out.Data[(i+1)*n : (i+2)*n]
-			o2 := out.Data[(i+2)*n : (i+3)*n]
-			o3 := out.Data[(i+3)*n : (i+4)*n]
-			if c0 != 0 && c1 != 0 && c2 != 0 && c3 != 0 {
-				for j, bv := range brow {
-					o0[j] += c0 * bv
-					o1[j] += c1 * bv
-					o2[j] += c2 * bv
-					o3[j] += c3 * bv
-				}
-				continue
-			}
-			if c0 != 0 {
-				for j, bv := range brow {
-					o0[j] += c0 * bv
-				}
-			}
-			if c1 != 0 {
-				for j, bv := range brow {
-					o1[j] += c1 * bv
-				}
-			}
-			if c2 != 0 {
-				for j, bv := range brow {
-					o2[j] += c2 * bv
-				}
-			}
-			if c3 != 0 {
-				for j, bv := range brow {
-					o3[j] += c3 * bv
-				}
-			}
-		}
-		for ; i < m.Cols; i++ {
-			if a := arow[i]; a != 0 {
-				orow := out.Data[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += a * bv
-				}
-			}
-		}
-	}
-	return out
-}
-
-// MulBTIntoBlocked computes m * b^T into out exactly like MulBTInto (bit
-// for bit, same panics). It keeps a 2x4 tile of dot-product accumulators
-// in registers across the shared k loop — each accumulator sums its
-// element's products in ascending k from zero, which is the identical
-// float64 sequence MulBTInto produces — and stores each tile once, so no
-// zeroing pass is needed. Like MulBTInto it has NO zero-multiplicand
-// skip. out must not alias m or b.
-func (m *Matrix) MulBTIntoBlocked(b, out *Matrix) *Matrix {
-	if m.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: mulbt shape mismatch %dx%d * (%dx%d)^T", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out = EnsureMatrix(out, m.Rows, b.Rows)
-	kk := m.Cols
-	i := 0
-	for ; i+2 <= m.Rows; i += 2 {
-		ar0 := m.Data[i*kk : (i+1)*kk]
-		ar1 := m.Data[(i+1)*kk : (i+2)*kk]
-		or0 := out.Data[i*b.Rows : (i+1)*b.Rows]
-		or1 := out.Data[(i+1)*b.Rows : (i+2)*b.Rows]
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			br0 := b.Data[j*kk : (j+1)*kk]
-			br1 := b.Data[(j+1)*kk : (j+2)*kk]
-			br2 := b.Data[(j+2)*kk : (j+3)*kk]
-			br3 := b.Data[(j+3)*kk : (j+4)*kk]
-			var s00, s01, s02, s03 float64
-			var s10, s11, s12, s13 float64
-			for k := 0; k < kk; k++ {
-				a0, a1 := ar0[k], ar1[k]
-				s00 += a0 * br0[k]
-				s01 += a0 * br1[k]
-				s02 += a0 * br2[k]
-				s03 += a0 * br3[k]
-				s10 += a1 * br0[k]
-				s11 += a1 * br1[k]
-				s12 += a1 * br2[k]
-				s13 += a1 * br3[k]
-			}
-			or0[j], or0[j+1], or0[j+2], or0[j+3] = s00, s01, s02, s03
-			or1[j], or1[j+1], or1[j+2], or1[j+3] = s10, s11, s12, s13
-		}
-		for ; j < b.Rows; j++ {
-			brow := b.Data[j*kk : (j+1)*kk]
-			var s0, s1 float64
-			for k := 0; k < kk; k++ {
-				s0 += ar0[k] * brow[k]
-				s1 += ar1[k] * brow[k]
-			}
-			or0[j], or1[j] = s0, s1
-		}
-	}
-	for ; i < m.Rows; i++ {
-		arow := m.Data[i*kk : (i+1)*kk]
-		orow := out.Data[i*b.Rows : (i+1)*b.Rows]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*kk : (j+1)*kk]
-			var s float64
-			for k, a := range arow {
-				s += a * brow[k]
-			}
-			orow[j] = s
 		}
 	}
 	return out

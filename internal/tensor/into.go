@@ -1,13 +1,12 @@
 package tensor
 
-// Allocation-free kernels for the compiled inference engine (internal/nn
-// CompileInference). Each *Into variant writes into a caller-owned
-// scratch matrix resized with EnsureMatrix, and each is bit-identical to
-// the allocating composition it replaces: TInto and Im2ColMatInto are
-// pure data movement, and AddInto performs the same elementwise sums in
-// the same order as Add. Bit-identity is load-bearing — the certified
-// error bounds are stated for the exact arithmetic of the reference
-// forward pass, so a fast path may not perturb even the last ulp.
+// Allocation-free kernel for the compiled inference engine (internal/nn
+// CompileInference). TInto writes into a caller-owned scratch matrix
+// resized with EnsureMatrix and is pure data movement, so it is
+// bit-identical to the allocating T it replaces. Bit-identity is
+// load-bearing — the certified error bounds are stated for the exact
+// arithmetic of the reference forward pass, so a fast path may not
+// perturb even the last ulp.
 
 // TInto writes m's transpose into out (resized as needed) and returns
 // the destination. Pure data movement: composing TInto with MulInto
@@ -22,70 +21,4 @@ func (m *Matrix) TInto(out *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// AddInto writes m + b into out (resized as needed) and returns the
-// destination. The elementwise sums match Add exactly. out may alias m
-// or b (the operation is pointwise).
-func (m *Matrix) AddInto(b, out *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("tensor: addinto shape mismatch")
-	}
-	out = EnsureMatrix(out, m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Im2ColMatInto unrolls convolution receptive fields directly from a
-// (c*h*w x batch) feature-major matrix — the layout internal/nn uses for
-// layer inputs — into dst (resized as needed), skipping the intermediate
-// NCHW tensor entirely. The result equals Im2Col applied to the
-// reshaped-to-NCHW input bit for bit: value placement is identical
-// (row (ch*kh+ky)*kw+kx, column n*outH*outW+oy*outW+ox) and padded taps
-// are written as zero. dst must not alias x.
-func Im2ColMatInto(x *Matrix, c, h, w, kh, kw, stride, pad int, dst *Matrix) *Matrix {
-	if x.Rows != c*h*w {
-		panic("tensor: im2colmat input rows do not match geometry")
-	}
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
-	if outH <= 0 || outW <= 0 {
-		panic("tensor: im2colmat empty output")
-	}
-	batch := x.Cols
-	dst = EnsureMatrix(dst, c*kh*kw, batch*outH*outW)
-	for ch := 0; ch < c; ch++ {
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				row := (ch*kh+ky)*kw + kx
-				drow := dst.Data[row*dst.Cols : (row+1)*dst.Cols]
-				col := 0
-				for n := 0; n < batch; n++ {
-					for oy := 0; oy < outH; oy++ {
-						iy := oy*stride - pad + ky
-						if iy < 0 || iy >= h {
-							for ox := 0; ox < outW; ox++ {
-								drow[col] = 0
-								col++
-							}
-							continue
-						}
-						for ox := 0; ox < outW; ox++ {
-							ix := ox*stride - pad + kx
-							if ix < 0 || ix >= w {
-								drow[col] = 0
-							} else {
-								f := (ch*h+iy)*w + ix
-								drow[col] = x.Data[f*batch+n]
-							}
-							col++
-						}
-					}
-				}
-			}
-		}
-	}
-	return dst
 }

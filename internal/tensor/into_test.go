@@ -38,67 +38,3 @@ func TestTIntoReusesBuffer(t *testing.T) {
 		t.Fatalf("TInto into sized buffer: %v allocs/op, want 0", allocs)
 	}
 }
-
-func TestAddIntoMatchesAdd(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := randMatrix(rng, 5, 7)
-	b := randMatrix(rng, 5, 7)
-	want := a.Clone().Add(b)
-	got := a.AddInto(b, nil)
-	if got.Rows != want.Rows || got.Cols != want.Cols || !bitEqual(got.Data, want.Data) {
-		t.Fatal("AddInto differs from Add")
-	}
-	if allocs := testing.AllocsPerRun(20, func() { a.AddInto(b, got) }); allocs != 0 {
-		t.Fatalf("AddInto into sized buffer: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestIm2ColMatIntoMatchesIm2Col pins the fused kernel to the reference
-// composition the conv layer uses: reshape the feature-major matrix to
-// NCHW and run Im2Col. Identical placement, identical padded zeros.
-func TestIm2ColMatIntoMatchesIm2Col(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	cases := []struct{ c, h, w, k, stride, pad, batch int }{
-		{1, 4, 4, 3, 1, 1, 1},
-		{2, 5, 5, 3, 1, 1, 3},
-		{3, 6, 6, 3, 2, 0, 2},
-		{2, 8, 6, 5, 1, 2, 4},
-		{4, 4, 4, 1, 1, 0, 5},
-	}
-	var buf *Matrix
-	for _, tc := range cases {
-		x := randMatrix(rng, tc.c*tc.h*tc.w, tc.batch)
-		// Reference: feature-major matrix -> NCHW tensor -> Im2Col.
-		t4 := NewT4(tc.batch, tc.c, tc.h, tc.w)
-		feat := tc.c * tc.h * tc.w
-		for n := 0; n < tc.batch; n++ {
-			for f := 0; f < feat; f++ {
-				t4.Data[n*feat+f] = x.Data[f*tc.batch+n]
-			}
-		}
-		want := Im2Col(t4, tc.k, tc.k, tc.stride, tc.pad)
-		buf = Im2ColMatInto(x, tc.c, tc.h, tc.w, tc.k, tc.k, tc.stride, tc.pad, buf)
-		if buf.Rows != want.Rows || buf.Cols != want.Cols || !bitEqual(buf.Data, want.Data) {
-			t.Fatalf("Im2ColMatInto %+v differs from Im2Col composition", tc)
-		}
-	}
-}
-
-func TestIm2ColMatIntoOverwritesStaleBuffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	x := randMatrix(rng, 2*4*4, 2)
-	buf := Im2ColMatInto(x, 2, 4, 4, 3, 3, 1, 1, nil)
-	// Poison the buffer; a second run must fully overwrite it (padded
-	// taps are explicit zero writes, not assumed-zero memory).
-	for i := range buf.Data {
-		buf.Data[i] = 1e300
-	}
-	again := Im2ColMatInto(x, 2, 4, 4, 3, 3, 1, 1, buf)
-	fresh := Im2ColMatInto(x, 2, 4, 4, 3, 3, 1, 1, nil)
-	if !bitEqual(again.Data, fresh.Data) {
-		t.Fatal("Im2ColMatInto left stale values in reused buffer")
-	}
-	if allocs := testing.AllocsPerRun(20, func() { Im2ColMatInto(x, 2, 4, 4, 3, 3, 1, 1, buf) }); allocs != 0 {
-		t.Fatalf("Im2ColMatInto into sized buffer: %v allocs/op, want 0", allocs)
-	}
-}

@@ -62,22 +62,6 @@ func (m *Matrix) ColRangeInto(lo, hi int, dst *Matrix) *Matrix {
 	return dst
 }
 
-// SetColRange copies all of src into columns [lo, lo+src.Cols) of m,
-// preserving row order — the inverse of ColRangeInto. Pure data
-// movement: the compiled inference engine joins per-shard outputs with
-// it in a fixed serial order, so sharded results are bit-identical to
-// unsharded ones. m and src must have the same row count and the range
-// must fit; src must not alias m.
-func (m *Matrix) SetColRange(lo int, src *Matrix) {
-	if src.Rows != m.Rows || lo < 0 || lo+src.Cols > m.Cols {
-		panic("tensor: SetColRange range out of bounds")
-	}
-	w := src.Cols
-	for r := 0; r < m.Rows; r++ {
-		copy(m.Data[r*m.Cols+lo:r*m.Cols+lo+w], src.Data[r*w:(r+1)*w])
-	}
-}
-
 // MatrixPool is a single-goroutine free list of scratch matrices. Get
 // prefers the most recently returned buffer with enough capacity; Put
 // recycles a matrix for a later Get. The zero value is ready to use.
