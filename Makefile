@@ -34,19 +34,22 @@ test:
 race:
 	$(GO) test -race -shuffle=on -timeout=35m ./...
 
-# ~30s total fuzz smoke, 3s per target across 10 targets: enough to
+# ~33s total fuzz smoke, 3s per target across 11 targets: enough to
 # catch a freshly introduced panic without stalling CI. Targets are
 # pkg:Fuzz pairs; FuzzDecodeContainer exercises the checksummed v2
 # container framing (with v1 seeds for the legacy path), FuzzUnframe the
 # integrity frame every other durable format shares, the checkpoint,
 # score manifest/cursor, gateway registry and artifact targets the
-# decoders built on it, and the tensor target is the differential
-# kernel fuzzer: the engine's blocked matmul must stay byte-exact
-# against the naive reference loop over random shapes.
+# decoders built on it, and two targets are differential: the table-
+# driven Huffman decoder must accept, refuse and decode exactly as the
+# pointer-tree decoder it replaced (FuzzDecodeMatchesTree), and the
+# engine's blocked matmul must stay byte-exact against the naive
+# reference loop over random shapes.
 FUZZ_TARGETS = \
 	./internal/compress:FuzzDecodeContainer \
 	./internal/compress:FuzzHuffmanDecode \
 	./internal/compress:FuzzSZRoundTrip \
+	./internal/huffman:FuzzDecodeMatchesTree \
 	./internal/integrity:FuzzUnframe \
 	./internal/checkpoint:FuzzDecodeCheckpoint \
 	./internal/score:FuzzDecodeManifest \

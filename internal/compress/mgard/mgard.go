@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"github.com/scidata/errprop/internal/compress"
 	"github.com/scidata/errprop/internal/huffman"
@@ -130,8 +131,7 @@ func (c Codec) encode(data []float64, g grid, budgets []float64) ([]byte, []floa
 	var codes []uint32
 	var unpred []float64
 
-	walkHierarchy(g, L, func(level, idx int, predict func(dec []float64) float64) {
-		pred := predict(decoded)
+	walk(g, L, decoded, func(level, idx int, pred float64) {
 		eb := budgets[level]
 		r := (data[idx] - pred) / (2 * eb)
 		q := math.Round(r)
@@ -187,7 +187,7 @@ func (c Codec) Decompress(payload []byte, dims []int) ([]float64, error) {
 	}
 	L := int(binary.LittleEndian.Uint32(raw))
 	p := 4
-	if L < 0 || L > 64 || p+8*(L+1) > len(raw) {
+	if L < 0 || L > 63 || p+8*(L+1) > len(raw) {
 		return nil, compress.ErrCorrupt
 	}
 	budgets := make([]float64, L+1)
@@ -228,104 +228,82 @@ func (c Codec) Decompress(payload []byte, dims []int) ([]float64, error) {
 	if len(codes) != n {
 		return nil, compress.ErrCorrupt
 	}
+	// Each unpredictable code takes the next stored value.
+	stored := 0
+	for _, code := range codes {
+		if code == unpredSym {
+			stored++
+		}
+	}
+	if stored > len(unpred) {
+		return nil, compress.ErrCorrupt
+	}
 	decoded := make([]float64, n)
 	ci, ui := 0, 0
-	var walkErr error
-	walkHierarchy(g, L, func(level, idx int, predict func(dec []float64) float64) {
-		if walkErr != nil {
-			return
-		}
-		if ci >= len(codes) {
-			walkErr = compress.ErrCorrupt
-			return
-		}
+	walk(g, L, decoded, func(level, idx int, pred float64) {
 		code := codes[ci]
 		ci++
 		if code == unpredSym {
-			if ui >= len(unpred) {
-				walkErr = compress.ErrCorrupt
-				return
-			}
 			decoded[idx] = unpred[ui]
 			ui++
 			return
 		}
-		pred := predict(decoded)
 		decoded[idx] = pred + float64(int64(code)-codeCenter)*2*budgets[level]
 	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	if ci != len(codes) {
-		return nil, compress.ErrCorrupt
-	}
 	return decoded, nil
 }
 
-// walkHierarchy visits every grid node exactly once in coarse-to-fine
-// order, passing a prediction closure that multilinearly interpolates the
-// node from the (already decoded) coarser grid. Level 0 nodes have a zero
-// prediction (their coefficient is the raw value).
+// walk visits every grid node exactly once in coarse-to-fine order and
+// calls visit with the node's level, its index and its prediction, a
+// multilinear interpolation from the coarser nodes of dec, which visit
+// has already filled in. Level 0 nodes have a zero prediction (their
+// coefficient is the raw value).
 //
-// The node set at level l consists of indices that are multiples of
-// h = 2^(L-l) (clamped into range), matching a dyadic refinement of the
-// grid; boundary nodes interpolate from clamped coarse neighbours, which
-// preserves the convex-combination property the error telescoping needs.
-func walkHierarchy(g grid, L int, visit func(level, idx int, predict func(dec []float64) float64)) {
-	onGrid := func(i, h int) bool { return i%h == 0 }
-	// coarseLeft/Right clamp a neighbour offset onto the coarse grid.
-	clampCoarse := func(i, n, h2 int) int {
-		if i < 0 {
-			return 0
+// The nodes of level l are the indices that are multiples of
+// h = 2^(L-l) but, past level 0, not of 2h: a dyadic refinement of the
+// grid. A node on an odd row or column interpolates from its coarse
+// neighbours on either side; one past the grid's edge clamps to the last
+// coarse row or column, which keeps every prediction a convex combination,
+// the property the error telescoping needs. Spacings stop growing once
+// they pass both extents, where a level holds node 0 alone or nothing.
+func walk(g grid, L int, dec []float64, visit func(level, idx int, pred float64)) {
+	m := g.cols
+	maxShift := bits.Len(uint(max(g.rows, g.cols)))
+	h := 1 << min(L, maxShift)
+	for r := 0; r < g.rows; r += h {
+		for c := 0; c < m; c += h {
+			visit(0, r*m+c, 0)
 		}
-		if i >= n {
-			// Largest coarse-grid index within range.
-			return ((n - 1) / h2) * h2
-		}
-		return i
 	}
-	zero := func([]float64) float64 { return 0 }
-
-	for level := 0; level <= L; level++ {
-		h := 1 << uint(L-level)
-		h2 := h * 2
-		for r := 0; r < g.rows; r += 1 {
-			if !onGrid(r, h) {
+	for level := 1; level <= L; level++ {
+		h := 1 << min(L-level, maxShift)
+		h2 := 2 * h
+		lastRow, lastCol := (g.rows-1)/h2*h2, (g.cols-1)/h2*h2
+		for r := 0; r < g.rows; r += h {
+			if r&h == 0 { // a coarse row: only its odd columns are new
+				for c := h; c < m; c += h2 {
+					c1 := c + h
+					if c1 >= m {
+						c1 = lastCol
+					}
+					visit(level, r*m+c, 0.5*(dec[r*m+c-h]+dec[r*m+c1]))
+				}
 				continue
 			}
-			for c := 0; c < g.cols; c += 1 {
-				if !onGrid(c, h) {
+			r0, r1 := r-h, r+h
+			if r1 >= g.rows {
+				r1 = lastRow
+			}
+			for c := 0; c < m; c += h {
+				if c&h == 0 {
+					visit(level, r*m+c, 0.5*(dec[r0*m+c]+dec[r1*m+c]))
 					continue
 				}
-				if level > 0 && onGrid(r, h2) && onGrid(c, h2) {
-					continue // already visited at a coarser level
+				c1 := c + h
+				if c1 >= m {
+					c1 = lastCol
 				}
-				idx := r*g.cols + c
-				if level == 0 {
-					visit(0, idx, zero)
-					continue
-				}
-				rOdd := !onGrid(r, h2)
-				cOdd := !onGrid(c, h2)
-				r0, r1 := clampCoarse(r-h, g.rows, h2), clampCoarse(r+h, g.rows, h2)
-				c0, c1 := clampCoarse(c-h, g.cols, h2), clampCoarse(c+h, g.cols, h2)
-				var predict func(dec []float64) float64
-				switch {
-				case rOdd && cOdd:
-					predict = func(dec []float64) float64 {
-						return 0.25 * (dec[r0*g.cols+c0] + dec[r0*g.cols+c1] +
-							dec[r1*g.cols+c0] + dec[r1*g.cols+c1])
-					}
-				case rOdd:
-					predict = func(dec []float64) float64 {
-						return 0.5 * (dec[r0*g.cols+c] + dec[r1*g.cols+c])
-					}
-				default: // cOdd
-					predict = func(dec []float64) float64 {
-						return 0.5 * (dec[r*g.cols+c0] + dec[r*g.cols+c1])
-					}
-				}
-				visit(level, idx, predict)
+				visit(level, r*m+c, 0.25*(dec[r0*m+c-h]+dec[r0*m+c1]+dec[r1*m+c-h]+dec[r1*m+c1]))
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func TestHierarchyVisitsEachNodeOnce(t *testing.T) {
 		L := g.levels()
 		seen := make(map[int]int)
 		prevLevel := 0
-		walkHierarchy(g, L, func(level, idx int, _ func([]float64) float64) {
+		walk(g, L, make([]float64, g.rows*g.cols), func(level, idx int, _ float64) {
 			seen[idx]++
 			if level < prevLevel {
 				t.Fatalf("grid %+v: levels out of order (%d after %d)", g, level, prevLevel)
@@ -68,11 +68,11 @@ func TestPredictionIsConvex(t *testing.T) {
 	for i := range dec {
 		dec[i] = 4.5
 	}
-	walkHierarchy(g, L, func(level, idx int, predict func([]float64) float64) {
+	walk(g, L, dec, func(level, idx int, p float64) {
 		if level == 0 {
 			return
 		}
-		if p := predict(dec); math.Abs(p-4.5) > 1e-12 {
+		if math.Abs(p-4.5) > 1e-12 {
 			t.Fatalf("prediction %v at idx %d not convex", p, idx)
 		}
 	})

@@ -23,13 +23,6 @@ func roundTrip(t *testing.T, syms []uint32) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestRoundTripBasic(t *testing.T) {
 	roundTrip(t, []uint32{1, 2, 3, 1, 1, 1, 2, 5, 5, 1})
 }
