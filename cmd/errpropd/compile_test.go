@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	errprop "github.com/scidata/errprop"
+	"github.com/scidata/errprop/internal/artifact"
 	"github.com/scidata/errprop/internal/integrity"
 )
 
@@ -86,5 +87,19 @@ func TestRunCorruptArtifactRefusesBoot(t *testing.T) {
 	}
 	if !errors.Is(err, integrity.ErrCorrupt) {
 		t.Fatalf("boot refusal is not the typed integrity error: %v", err)
+	}
+}
+
+// TestRunV1ArtifactRefusesBoot: a version-1 artifact is a typed boot
+// refusal naming the file and the way out (errpropd -compile), not a
+// model read some other way.
+func TestRunV1ArtifactRefusesBoot(t *testing.T) {
+	path := filepath.Join("..", "..", "internal", "artifact", "testdata", "v1.aot")
+	err := run([]string{"-model", "x=" + path, "-addr", "127.0.0.1:0"})
+	if !errors.Is(err, artifact.ErrV1) {
+		t.Fatalf("boot on a version-1 artifact: %v, want artifact.ErrV1", err)
+	}
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "errpropd -compile") {
+		t.Fatalf("boot refusal does not name the file and errpropd -compile: %v", err)
 	}
 }

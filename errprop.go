@@ -406,11 +406,12 @@ type ServeMetrics = serve.Snapshot
 func NewServer(cfg ServeConfig) *Server { return serve.New(cfg) }
 
 // Artifact is an ahead-of-time compiled model bundle: quantized
-// weights, the compiled op program, the error-flow graph with
-// build-time quantization step tables, and the certified bound — one
-// checksummed file that cold-starts anywhere with no recompilation
-// (see internal/artifact). Register one with Server.RegisterArtifact or
-// score with ScoreArtifact.
+// weights, one row of build-time numbers (σ, row norms, quantization
+// steps) per linear op, and the certified bound — one checksummed file
+// that cold-starts anywhere with no re-quantization or re-analysis. The
+// op program and the error-flow graph are derived from the shipped
+// network (see internal/artifact). Register one with
+// Server.RegisterArtifact or score with ScoreArtifact.
 type Artifact = artifact.Artifact
 
 // BuildArtifact compiles net into an artifact serving weight format f:
@@ -419,10 +420,10 @@ type Artifact = artifact.Artifact
 func BuildArtifact(net *Network, f Format) (*Artifact, error) { return artifact.Build(net, f) }
 
 // DecodeArtifact parses and fully verifies an artifact's bytes: frame
-// checksum, canonical form, program-vs-model consistency, and a
-// bit-exact recomputation of the stored certified bound. Damage is a
-// typed integrity error (IsIntegrityError), never a partially trusted
-// artifact.
+// checksum, canonical form, and a bit-exact recomputation of the stored
+// certified bound. Damage is a typed integrity error
+// (IsIntegrityError), never a partially trusted artifact; a version-1
+// artifact is refused and must be recompiled with errpropd -compile.
 func DecodeArtifact(raw []byte) (*Artifact, error) { return artifact.Decode(raw) }
 
 // WriteArtifactFile writes an artifact atomically (temp, fsync, rename,
@@ -557,10 +558,10 @@ func OpenScoreResultLog(path string) (*ScoreResultLog, error) {
 // ScoreArtifact streams a dataset's chunks through a compiled model with
 // per-chunk certified error accounting: bounded memory, bit-identical
 // results for any worker count, and — with cfg.CursorDir set —
-// crash-safe bit-identical resume. The shipped program binds to the
-// shipped quantized weights and the certified accounting comes from the
-// artifact's error-flow graph at its format; score a network by building
-// its artifact first (BuildArtifact).
+// crash-safe bit-identical resume. The artifact's program binds to its
+// quantized weights and the certified accounting comes from its
+// error-flow graph at its format; score a network by building its
+// artifact first (BuildArtifact).
 func ScoreArtifact(art *Artifact, man *ScoreManifest, cfg ScoreConfig) (*ScoreResult, error) {
 	return score.ScoreArtifact(art, man, cfg)
 }

@@ -50,8 +50,9 @@ var testFormats = []numfmt.Format{numfmt.FP32, numfmt.TF32, numfmt.FP16, numfmt.
 
 // TestBuildDecodeRoundTrip pins the artifact contract: encode/decode is
 // a byte bijection, the decoded engine replays the serving network bit
-// for bit, and the embedded plan (graph + step tables + bound) agrees
-// exactly with a fresh from-weights analysis.
+// for bit, the built and decoded error-flow graphs are the same graph,
+// and the plan (graph + step tables + bound) agrees exactly with a fresh
+// from-weights analysis.
 func TestBuildDecodeRoundTrip(t *testing.T) {
 	for _, spec := range testSpecs() {
 		spec := spec
@@ -83,8 +84,11 @@ func TestBuildDecodeRoundTrip(t *testing.T) {
 				if dec.Format != f {
 					t.Fatalf("%s: decoded format %s", f, dec.Format)
 				}
+				if !bytes.Equal(dumpRoot(dec), dumpRoot(art)) {
+					t.Fatalf("%s: decoded error-flow graph differs from the built one", f)
+				}
 
-				// Cold-start path: bind the shipped program to the shipped
+				// Cold-start path: bind the derived program to the shipped
 				// weights; must equal a from-scratch compile of the serving
 				// network bit for bit.
 				fromArt, err := dec.Program.Bind(dec.Net, 8, 1)
@@ -189,8 +193,8 @@ func TestStepsFor(t *testing.T) {
 
 // TestDecodeRejectsDamage: framing damage is a typed integrity error;
 // CRC-consistent body tampering still cannot produce a silently wrong
-// artifact (canonical re-encode, program recompile, and bound recompute
-// each gate it).
+// artifact (the canonical re-encode and the bound recompute each gate
+// it).
 func TestDecodeRejectsDamage(t *testing.T) {
 	net := buildNet(t, nn.MLPSpec("m", []int{5, 8, 3}, nn.ActTanh, true))
 	art, err := Build(net, numfmt.FP16)
@@ -217,6 +221,17 @@ func TestDecodeRejectsDamage(t *testing.T) {
 		t.Fatalf("bad magic: want integrity error, got %v", err)
 	}
 
+	// A body with a byte past the last row, or short of it, is refused
+	// even under a valid frame: the derived structure fixes every row's
+	// length.
+	body := raw[len(Magic)+12:]
+	if _, err := Decode(integrity.Frame(Magic, append(append([]byte{}, body...), 0))); !integrity.IsIntegrityError(err) {
+		t.Fatalf("trailing body byte under a valid frame: want integrity error, got %v", err)
+	}
+	if _, err := Decode(integrity.Frame(Magic, body[:len(body)-8])); !integrity.IsIntegrityError(err) {
+		t.Fatalf("short last row under a valid frame: want integrity error, got %v", err)
+	}
+
 	// Single bit flips anywhere in the body trip the CRC.
 	for off := len(Magic) + 12; off < len(raw); off += 101 {
 		flipped := append([]byte{}, raw...)
@@ -227,8 +242,8 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	}
 
 	// A tamperer who also fixes the CRC either trips a semantic gate
-	// (canonical re-encode, program recompile, bound recompute, the
-	// embedded model's own frame) or has produced a *different* valid
+	// (canonical re-encode, bound recompute, the embedded model's own
+	// frame) or has produced a *different* valid
 	// artifact — whose checksum identity necessarily changed, so any
 	// consumer pinning the original checksum still refuses it. Never a
 	// silently-accepted corruption of *this* artifact.

@@ -10,20 +10,31 @@ import (
 // it must never panic, never over-allocate from a corrupt length field,
 // and anything it accepts must re-encode to exactly the input (the
 // canonical-form bijection every other container in this repo pins).
+// It seeds from the v2 golden fixture and from the version-1 fixture,
+// whose bytes and mutations must all be refused.
 func FuzzDecodeArtifact(f *testing.F) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden.aot"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "v2.aot"))
 	if err != nil {
 		f.Fatalf("read golden artifact seed: %v", err)
+	}
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1.aot"))
+	if err != nil {
+		f.Fatalf("read version-1 artifact seed: %v", err)
 	}
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
 	f.Add([]byte(Magic))
 	f.Add([]byte{})
-	for i := 0; i < len(raw); i += 61 {
-		mut := append([]byte(nil), raw...)
-		mut[i] ^= 0x3B
-		f.Add(mut)
+	addMutations := func(raw []byte) {
+		for i := 0; i < len(raw); i += 61 {
+			mut := append([]byte(nil), raw...)
+			mut[i] ^= 0x3B
+			f.Add(mut)
+		}
 	}
+	addMutations(raw)
+	f.Add(v1)
+	addMutations(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)

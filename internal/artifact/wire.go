@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/scidata/errprop/internal/core"
 	"github.com/scidata/errprop/internal/integrity"
-	"github.com/scidata/errprop/internal/nn"
 )
 
 // bodyWriter accumulates the canonical little-endian body encoding.
@@ -22,15 +20,7 @@ func (w *bodyWriter) f64(v float64) {
 	w.buf.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 }
 
-func (w *bodyWriter) bool8(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// str8 writes a u8-length-prefixed string (format names, node labels).
+// str8 writes a u8-length-prefixed string (the format name).
 func (w *bodyWriter) str8(s string) error {
 	if len(s) > 0xff {
 		return fmt.Errorf("artifact: string %q exceeds 255 bytes", s[:32])
@@ -96,22 +86,15 @@ func (r *bodyReader) f64() float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// finite reads a float that must be finite (bound coefficients; a NaN or
-// Inf here would silently poison every certified bound derived later).
-func (r *bodyReader) finite(what string) float64 {
+// nonneg reads a float that must be finite and >= 0 (σ, row norms and
+// steps are magnitudes by construction; a NaN or Inf here would silently
+// poison every certified bound derived later).
+func (r *bodyReader) nonneg(what string) float64 {
 	v := r.f64()
-	if r.err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-		r.fail("non-finite %s", what)
+	if r.err == nil && (math.IsNaN(v) || math.IsInf(v, 0) || v < 0) {
+		r.fail("non-finite or negative %s %v", what, v)
 	}
 	return v
-}
-
-func (r *bodyReader) bool8() bool {
-	v := r.u8()
-	if r.err == nil && v > 1 {
-		r.fail("boolean byte %d not 0 or 1", v)
-	}
-	return v == 1
 }
 
 func (r *bodyReader) str8() string {
@@ -126,206 +109,4 @@ func (r *bodyReader) str8() string {
 func (r *bodyReader) section() []byte {
 	n := r.u32()
 	return r.take(int(n))
-}
-
-// encodeNode writes one error-flow graph node (and its subtree); linear
-// nodes carry their build-time step table from steps.
-func encodeNode(w *bodyWriter, nd *core.Node, steps map[*nn.LinearOp][]float64) error {
-	w.u8(uint8(nd.Kind))
-	switch nd.Kind {
-	case core.KindLinear:
-		op := nd.Op
-		if err := w.str8(op.LayerName); err != nil {
-			return err
-		}
-		w.f64(op.Sigma)
-		w.u32(uint32(op.InDim))
-		w.u32(uint32(op.OutDim))
-		w.u32(uint32(op.WRows))
-		w.u32(uint32(op.WCols))
-		w.f64(op.AddGain)
-		w.f64(op.InflGain)
-		w.u32(uint32(len(op.RowNorms)))
-		for _, v := range op.RowNorms {
-			w.f64(v)
-		}
-		tbl, ok := steps[op]
-		if !ok || len(tbl) != len(stepFormats) {
-			return fmt.Errorf("artifact: linear node %q has no build-time step table", op.LayerName)
-		}
-		for _, s := range tbl {
-			w.f64(s)
-		}
-	case core.KindLipschitz:
-		if err := w.str8(nd.Label); err != nil {
-			return err
-		}
-		w.f64(nd.C)
-		w.f64(nd.Off)
-		w.bool8(nd.IsAct)
-	case core.KindSequence:
-		if err := w.str8(nd.Label); err != nil {
-			return err
-		}
-		w.u32(uint32(len(nd.Children)))
-		for _, c := range nd.Children {
-			if err := encodeNode(w, c, steps); err != nil {
-				return err
-			}
-		}
-	case core.KindResidual:
-		if err := w.str8(nd.Label); err != nil {
-			return err
-		}
-		w.bool8(nd.Shortcut != nil)
-		if err := encodeNode(w, nd.Branch, steps); err != nil {
-			return err
-		}
-		if nd.Shortcut != nil {
-			if err := encodeNode(w, nd.Shortcut, steps); err != nil {
-				return err
-			}
-		}
-	case core.KindConcat:
-		if err := w.str8(nd.Label); err != nil {
-			return err
-		}
-		if err := encodeNode(w, nd.Branch, steps); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("artifact: unknown graph node kind %d", nd.Kind)
-	}
-	return nil
-}
-
-// graphDecoder tracks the shared caps while rebuilding a node tree from
-// untrusted bytes.
-type graphDecoder struct {
-	r     *bodyReader
-	steps map[*nn.LinearOp][]float64
-	nodes int
-}
-
-// nonneg reads a finite float that must also be >= 0 (gains, norms,
-// Lipschitz constants — all magnitudes by construction).
-func (d *graphDecoder) nonneg(what string) float64 {
-	v := d.r.finite(what)
-	if d.r.err == nil && v < 0 {
-		d.r.fail("negative %s %v", what, v)
-	}
-	return v
-}
-
-func (d *graphDecoder) node(depth int) (*core.Node, error) {
-	if depth > maxGraphDepth {
-		return nil, corrupt("graph nesting exceeds depth %d", maxGraphDepth)
-	}
-	d.nodes++
-	if d.nodes > maxGraphNodes {
-		return nil, corrupt("graph exceeds %d nodes", maxGraphNodes)
-	}
-	r := d.r
-	kind := r.u8()
-	if r.err != nil {
-		return nil, r.err
-	}
-	switch core.NodeKind(kind) {
-	case core.KindLinear:
-		name := r.str8()
-		if len(name) > maxLabelBytes {
-			return nil, corrupt("linear layer name exceeds %d bytes", maxLabelBytes)
-		}
-		op := &nn.LinearOp{LayerName: name}
-		op.Sigma = d.nonneg("sigma")
-		op.InDim = int(r.u32())
-		op.OutDim = int(r.u32())
-		op.WRows = int(r.u32())
-		op.WCols = int(r.u32())
-		op.AddGain = d.nonneg("add gain")
-		op.InflGain = d.nonneg("inflation gain")
-		nNorms := int(r.u32())
-		if r.err == nil && nNorms > maxRowNorms {
-			return nil, corrupt("linear node %q declares %d row norms", name, nNorms)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if nNorms > 0 {
-			op.RowNorms = make([]float64, nNorms)
-			for i := range op.RowNorms {
-				op.RowNorms[i] = d.nonneg("row norm")
-			}
-		}
-		tbl := make([]float64, len(stepFormats))
-		for i := range tbl {
-			tbl[i] = d.nonneg("quantization step")
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		d.steps[op] = tbl
-		return &core.Node{Kind: core.KindLinear, Op: op, Label: name}, nil
-	case core.KindLipschitz:
-		nd := &core.Node{Kind: core.KindLipschitz, Label: r.str8()}
-		nd.C = d.nonneg("lipschitz constant")
-		nd.Off = d.nonneg("signal offset")
-		nd.IsAct = r.bool8()
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nd, nil
-	case core.KindSequence:
-		nd := &core.Node{Kind: core.KindSequence, Label: r.str8()}
-		n := int(r.u32())
-		if r.err == nil && n > maxSeqChildren {
-			return nil, corrupt("sequence declares %d children", n)
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		for i := 0; i < n; i++ {
-			c, err := d.node(depth + 1)
-			if err != nil {
-				return nil, err
-			}
-			nd.Children = append(nd.Children, c)
-		}
-		return nd, nil
-	case core.KindResidual:
-		nd := &core.Node{Kind: core.KindResidual, Label: r.str8()}
-		hasShortcut := r.bool8()
-		if r.err != nil {
-			return nil, r.err
-		}
-		var err error
-		if nd.Branch, err = d.node(depth + 1); err != nil {
-			return nil, err
-		}
-		if hasShortcut {
-			if nd.Shortcut, err = d.node(depth + 1); err != nil {
-				return nil, err
-			}
-		}
-		return nd, nil
-	case core.KindConcat:
-		nd := &core.Node{Kind: core.KindConcat, Label: r.str8()}
-		if r.err != nil {
-			return nil, r.err
-		}
-		var err error
-		if nd.Branch, err = d.node(depth + 1); err != nil {
-			return nil, err
-		}
-		return nd, nil
-	default:
-		return nil, corrupt("unknown graph node kind %d", kind)
-	}
-}
-
-// decodeNode rebuilds the error-flow graph from r, registering each
-// linear node's step table in steps.
-func decodeNode(r *bodyReader, steps map[*nn.LinearOp][]float64, depth int) (*core.Node, error) {
-	d := &graphDecoder{r: r, steps: steps}
-	return d.node(depth)
 }

@@ -316,8 +316,8 @@ func TestGatewayModelsPartialPin(t *testing.T) {
 }
 
 // TestLoadRegistryFileRefusesBadArtifact: a manifest whose pinned
-// artifact is missing, corrupt, or checksum-mismatched is refused as a
-// unit — typed error, fleet and artifacts unchanged.
+// artifact is missing, corrupt, checksum-mismatched or of version 1 is
+// refused as a unit — typed error, fleet and artifacts unchanged.
 func TestLoadRegistryFileRefusesBadArtifact(t *testing.T) {
 	be := startArtifactBackend(t, numfmt.FP16)
 	dir := t.TempDir()
@@ -359,6 +359,25 @@ func TestLoadRegistryFileRefusesBadArtifact(t *testing.T) {
 		t.Fatalf("checksum-mismatch reload: err %v, want ErrArtifactMismatch", err)
 	}
 	assertUnchanged("after mismatch refusal")
+
+	// A version-1 artifact pinned by its own body checksum: refused by
+	// version, with the fleet unchanged.
+	v1, err := os.ReadFile(filepath.Join("..", "artifact", "testdata", "v1.aot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "v1.aot"), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg.Artifacts = []ArtifactRef{{Model: "h2", Path: "v1.aot", Checksum: integrity.ChecksumString(integrity.Checksum(v1[len("ERRPROPAOT1")+12:]))}}
+	v1Path := filepath.Join(dir, "v1.reg")
+	if err := WriteRegistryFile(v1Path, reg); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.LoadRegistryFile(v1Path); !errors.Is(err, artifact.ErrV1) {
+		t.Fatalf("version-1 artifact reload: err %v, want artifact.ErrV1", err)
+	}
+	assertUnchanged("after version-1 refusal")
 
 	// Corrupt artifact file: flip one byte mid-body.
 	aotPath := filepath.Join(dir, "h2.aot")

@@ -14,7 +14,7 @@ import (
 
 // TestFormatBytesPinned pins the on-disk bytes of every framed format no
 // golden file covers (the artifact and its embedded model frame are
-// pinned by internal/artifact's golden.aot). Each row encodes one fixed
+// pinned by internal/artifact's v2.aot). Each row encodes one fixed
 // hand-built value; the length and CRC32C of the whole encoding were
 // recorded before the formats moved onto the shared integrity frame, so
 // a pass means files written before that move still load. A change here

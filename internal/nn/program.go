@@ -1,35 +1,33 @@
 package nn
 
-// program.go is the pure, serializable half of the inference compiler.
+// program.go is the pure, data-only half of the inference compiler.
 //
 // CompileInference historically walked the layer graph and built runnable
 // ops in one pass. That pass is now split in two:
 //
 //   - CompileProgram performs the structural walk — static shape
 //     inference, the activation-fusion peephole, arena-slot allocation —
-//     and emits a Program: a flat, batch-independent, byte-serializable
-//     description of the op sequence. Compiling the same network always
-//     yields the same Program, byte for byte.
+//     and emits a Program: a flat, batch-independent description of the
+//     op sequence. Compiling the same network always yields the same
+//     Program.
 //   - Program.Bind resolves a Program against a live network: it
 //     validates every op against the layer it references, allocates the
 //     buffer arena for maxBatch-column inputs, and produces a runnable
 //     Engine.
 //
-// The split is what makes ahead-of-time artifacts possible: a Program
-// round-trips through EncodeBinary/DecodeProgram, travels inside an
-// artifact next to the serialized network, and Bind reconstructs exactly
-// the engine a from-spec compile would have produced. CompileInference
-// itself is now CompileProgram + Bind — one compiler, two entry points.
+// An ahead-of-time artifact ships the network, not the Program: decoding
+// it runs CompileProgram on the shipped network, and Bind turns that
+// into the engine a from-spec compile would have produced.
+// CompileInference itself is CompileProgram + Bind — one compiler, two
+// entry points.
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/scidata/errprop/internal/tensor"
 )
 
-// OpKind discriminates Program ops. The numeric values are part of the
-// serialized program format; add new kinds at the end only.
+// OpKind discriminates Program ops.
 type OpKind uint8
 
 const (
@@ -45,10 +43,9 @@ const (
 	OpAttention
 	OpAdd
 	OpConcat
-	opKindCount
 )
 
-// opKindNames labels kinds in Bind/decode errors.
+// opKindNames labels kinds in Bind errors and program dumps.
 var opKindNames = [...]string{
 	"dense", "conv", "act", "round", "maxpool", "avgpool", "gap",
 	"upsample", "batchnorm", "attention", "add", "concat",
@@ -83,8 +80,8 @@ type ProgOp struct {
 
 // Program is a compiled inference plan in pure data form: no layer
 // pointers, no scratch buffers, nothing batch-dependent. It is the
-// deterministic, encodable vocabulary the golden *.program dumps render
-// (Engine.Program), and the form an ahead-of-time artifact embeds.
+// deterministic vocabulary the golden *.program dumps render
+// (Engine.Program).
 type Program struct {
 	// InDim and OutDim are the flattened input/output feature counts
 	// (static shape inference; no data probe).
@@ -292,8 +289,8 @@ func (b *programBuilder) layer(l Layer, in, rows int, path string) (int, int, er
 // Bind resolves the program against net and materializes a runnable
 // Engine with buffers for maxBatch-column inputs. Every op is validated
 // against the layer it references — index range, layer type, slot
-// shapes — so a program decoded from an artifact cannot silently bind to
-// a structurally different network; a mismatch is a typed error, never a
+// shapes — so a program compiled from one network cannot silently bind
+// to a structurally different one; a mismatch is a typed error, never a
 // wrong answer.
 //
 // lanes must be 1: the engine runs one op program on the caller's
@@ -585,127 +582,4 @@ func (p *Program) bindOps(flat []Layer, maxBatch int) ([]inferOp, error) {
 		}
 	}
 	return ops, nil
-}
-
-// Program serialization: a canonical fixed-width little-endian encoding.
-// Every field is a u32 (signed fields use two's complement), so any
-// decodable byte string re-encodes to itself — the byte-bijection
-// property the artifact container and its fuzz target rely on.
-const (
-	maxProgramSlots = 1 << 20
-	maxProgramOps   = 1 << 20
-)
-
-// AppendBinary appends the program's canonical encoding to dst.
-func (p *Program) AppendBinary(dst []byte) []byte {
-	var u [4]byte
-	put := func(v uint32) {
-		binary.LittleEndian.PutUint32(u[:], v)
-		dst = append(dst, u[:]...)
-	}
-	put(uint32(p.InDim))
-	put(uint32(p.OutDim))
-	put(uint32(p.Out))
-	put(uint32(len(p.SlotRows)))
-	for _, r := range p.SlotRows {
-		put(uint32(r))
-	}
-	put(uint32(len(p.Ops)))
-	for _, op := range p.Ops {
-		dst = append(dst, byte(op.Kind))
-		put(uint32(op.Layer))
-		put(uint32(op.Act))
-		put(uint32(op.In))
-		put(uint32(op.Aux))
-		put(uint32(op.Out))
-	}
-	return dst
-}
-
-// EncodeBinary returns the program's canonical encoding.
-func (p *Program) EncodeBinary() []byte { return p.AppendBinary(nil) }
-
-// progReader is a little cursor over a program encoding.
-type progReader struct {
-	raw []byte
-	off int
-	err error
-}
-
-func (r *progReader) u32() uint32 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.raw) {
-		r.err = fmt.Errorf("nn: DecodeProgram: truncated at byte %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.raw[r.off:])
-	r.off += 4
-	return v
-}
-
-func (r *progReader) i32() int32 { return int32(r.u32()) }
-
-func (r *progReader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.raw) {
-		r.err = fmt.Errorf("nn: DecodeProgram: truncated at byte %d", r.off)
-		return 0
-	}
-	v := r.raw[r.off]
-	r.off++
-	return v
-}
-
-// DecodeProgram parses a canonical program encoding. It rejects unknown
-// op kinds, oversized tables, truncation, and trailing bytes; semantic
-// validation against a concrete network happens in Bind.
-func DecodeProgram(raw []byte) (*Program, error) {
-	r := &progReader{raw: raw}
-	p := &Program{
-		InDim:  int(r.u32()),
-		OutDim: int(r.u32()),
-		Out:    int(r.u32()),
-	}
-	nSlots := r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nSlots > maxProgramSlots {
-		return nil, fmt.Errorf("nn: DecodeProgram: %d slots exceeds cap %d", nSlots, maxProgramSlots)
-	}
-	p.SlotRows = make([]int, nSlots)
-	for i := range p.SlotRows {
-		p.SlotRows[i] = int(r.u32())
-	}
-	nOps := r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if nOps > maxProgramOps {
-		return nil, fmt.Errorf("nn: DecodeProgram: %d ops exceeds cap %d", nOps, maxProgramOps)
-	}
-	p.Ops = make([]ProgOp, nOps)
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		op.Kind = OpKind(r.u8())
-		if op.Kind >= opKindCount {
-			return nil, fmt.Errorf("nn: DecodeProgram: op %d has unknown kind %d", i, op.Kind)
-		}
-		op.Layer = r.i32()
-		op.Act = r.i32()
-		op.In = r.i32()
-		op.Aux = r.i32()
-		op.Out = r.i32()
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.off != len(raw) {
-		return nil, fmt.Errorf("nn: DecodeProgram: %d trailing bytes after program", len(raw)-r.off)
-	}
-	return p, nil
 }

@@ -65,9 +65,11 @@ type Pipeline struct {
 	cfg  Config
 	net  *nn.Network // original full-precision network
 	qnet *nn.Network // execution network (quantized copy, or net itself)
+	eng  *nn.Engine  // qnet compiled for cfg.Batch-sample batches
 }
 
-// New builds a pipeline, quantizing the network if the config asks for it.
+// New builds a pipeline, quantizing the network if the config asks for
+// it, and compiles the execution network into the engine Infer runs.
 func New(net *nn.Network, cfg Config) (*Pipeline, error) {
 	cfg.fillDefaults()
 	p := &Pipeline{cfg: cfg, net: net, qnet: net}
@@ -78,6 +80,11 @@ func New(net *nn.Network, cfg Config) (*Pipeline, error) {
 		}
 		p.qnet = q
 	}
+	eng, err := nn.CompileInference(p.qnet, cfg.Batch)
+	if err != nil {
+		return nil, err
+	}
+	p.eng = eng
 	if cfg.Codec != "" {
 		c, err := compress.ByName(cfg.Codec)
 		if err != nil {
@@ -137,7 +144,8 @@ type Result struct {
 // (feature-major, dims describing the stored grid, dims[0] = feature
 // count). It compresses the block (write-side, untimed), simulates the
 // timed read+decode, preprocesses, and executes the network on the
-// reconstruction.
+// reconstruction. A Pipeline runs one Infer at a time: its engine is
+// not safe for concurrent use.
 func (p *Pipeline) Infer(field []float64, dims []int) (*Result, error) {
 	inDim := dims[0]
 	if inDim != p.net.InputDim {
@@ -179,24 +187,24 @@ func (p *Pipeline) Infer(field []float64, dims []int) (*Result, error) {
 	res.Preprocess = time.Duration(float64(res.RawBytes)/preprocessBW*1e9) * time.Nanosecond
 	x := tensor.NewMatrixFrom(inDim, n, recon)
 
-	// Execution phase: real forward passes, simulated device time.
-	out := tensor.NewMatrix(outputDim(p.qnet, x), n)
+	// Execution phase: real forward passes through the engine, each
+	// batch packed into one reused input, and simulated device time.
+	out := tensor.NewMatrix(p.eng.OutputDim(), n)
 	batch := p.cfg.Batch
+	in := make([]float64, inDim*min(batch, n))
 	var exec time.Duration
 	for lo := 0; lo < n; lo += batch {
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		xb := tensor.NewMatrix(inDim, hi-lo)
+		hi := min(lo+batch, n)
+		k := hi - lo
+		xb := tensor.NewMatrixFrom(inDim, k, in[:inDim*k])
 		for f := 0; f < inDim; f++ {
-			copy(xb.Data[f*(hi-lo):(f+1)*(hi-lo)], x.Data[f*n+lo:f*n+hi])
+			copy(xb.Data[f*k:(f+1)*k], x.Data[f*n+lo:f*n+hi])
 		}
-		yb := p.qnet.Forward(xb, false)
+		yb := p.eng.Forward(xb)
 		for f := 0; f < yb.Rows; f++ {
-			copy(out.Data[f*n+lo:f*n+hi], yb.Data[f*(hi-lo):(f+1)*(hi-lo)])
+			copy(out.Data[f*n+lo:f*n+hi], yb.Data[f*k:(f+1)*k])
 		}
-		dt, _ := gpusim.ExecCost(p.qnet, p.cfg.Device, p.cfg.Format, hi-lo)
+		dt, _ := gpusim.ExecCost(p.qnet, p.cfg.Device, p.cfg.Format, k)
 		exec += dt
 	}
 	res.Exec = exec
@@ -213,12 +221,4 @@ func (p *Pipeline) Infer(field []float64, dims []int) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// outputDim probes the network's output feature count with a single
-// zero-sample forward pass.
-func outputDim(net *nn.Network, x *tensor.Matrix) int {
-	probe := tensor.NewMatrix(x.Rows, 1)
-	out := net.Forward(probe, false)
-	return out.Rows
 }

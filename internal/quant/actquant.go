@@ -14,23 +14,10 @@ import (
 // III-B. actFmt must be a float format (INT8 activations need
 // calibration).
 func QuantizeActivations(net *nn.Network, weightFmt, actFmt numfmt.Format) (*nn.Network, error) {
-	if net.Spec == nil {
-		return nil, fmt.Errorf("quant: network has no Spec")
-	}
 	if actFmt == numfmt.INT8 {
 		return nil, fmt.Errorf("quant: INT8 activation quantization unsupported (needs calibration)")
 	}
-	spec := stripPSN(*net.Spec)
-	spec.Layers = insertRounds(spec.Layers, actFmt)
-	copyNet, err := spec.Build(0)
-	if err != nil {
-		return nil, fmt.Errorf("quant: rebuilding spec: %w", err)
-	}
-	if err := transferSkippingRounds(net.Layers, copyNet.Layers, weightFmt); err != nil {
-		return nil, err
-	}
-	copyNet.RefreshSigmas()
-	return copyNet, nil
+	return copyRounded(net, &actFmt, roundTo(weightFmt))
 }
 
 // insertRounds places a round layer after every activation, recursively.
@@ -45,74 +32,4 @@ func insertRounds(ls []nn.LayerSpec, f numfmt.Format) []nn.LayerSpec {
 		}
 	}
 	return out
-}
-
-// transferSkippingRounds copies weights from src into dst, where dst may
-// contain extra RoundLayers interleaved.
-func transferSkippingRounds(src, dst []nn.Layer, f numfmt.Format) error {
-	j := 0
-	next := func() (nn.Layer, error) {
-		for j < len(dst) {
-			if _, ok := dst[j].(*nn.RoundLayer); ok {
-				j++
-				continue
-			}
-			l := dst[j]
-			j++
-			return l, nil
-		}
-		return nil, fmt.Errorf("quant: destination layers exhausted")
-	}
-	for i := range src {
-		d, err := next()
-		if err != nil {
-			return err
-		}
-		switch s := src[i].(type) {
-		case *nn.Dense:
-			dd, ok := d.(*nn.Dense)
-			if !ok {
-				return fmt.Errorf("quant: layer %d type mismatch (%T vs %T)", i, src[i], d)
-			}
-			eff := s.EffectiveMatrix()
-			copy(dd.W.Data, roundWeights(f, eff.Data))
-			copy(dd.B.Data, s.B.Data)
-		case *nn.Conv2D:
-			dd, ok := d.(*nn.Conv2D)
-			if !ok {
-				return fmt.Errorf("quant: layer %d type mismatch", i)
-			}
-			eff := s.EffectiveKernel()
-			copy(dd.Wt.Data, roundWeights(f, eff.Data))
-			copy(dd.B.Data, s.B.Data)
-		case *nn.Activation:
-			dd, ok := d.(*nn.Activation)
-			if !ok {
-				return fmt.Errorf("quant: layer %d type mismatch", i)
-			}
-			for k, p := range s.Params() {
-				copy(dd.Params()[k].Data, p.Data)
-			}
-		case *nn.Residual:
-			dd, ok := d.(*nn.Residual)
-			if !ok {
-				return fmt.Errorf("quant: layer %d type mismatch", i)
-			}
-			if err := transferSkippingRounds(s.Branch, dd.Branch, f); err != nil {
-				return err
-			}
-			if err := transferSkippingRounds(s.Shortcut, dd.Shortcut, f); err != nil {
-				return err
-			}
-		case *nn.SkipConcat:
-			dd, ok := d.(*nn.SkipConcat)
-			if !ok {
-				return fmt.Errorf("quant: layer %d type mismatch", i)
-			}
-			if err := transferSkippingRounds(s.Branch, dd.Branch, f); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -132,17 +132,3 @@ func TestMixedQuantizePerLayerEffects(t *testing.T) {
 		t.Fatalf("FP32 layer moved too much: %v", maxL1)
 	}
 }
-
-func TestWeightErrorReporting(t *testing.T) {
-	net := buildTestMLP(t, false)
-	errs := WeightError(net, numfmt.BF16)
-	if len(errs) != 3 {
-		t.Fatalf("want 3 layer errors, got %d", len(errs))
-	}
-	fp16 := WeightError(net, numfmt.FP16)
-	for i := range errs {
-		if errs[i] <= fp16[i] {
-			t.Fatalf("layer %d: BF16 max error %v should exceed FP16's %v", i, errs[i], fp16[i])
-		}
-	}
-}

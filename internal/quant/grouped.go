@@ -1,8 +1,6 @@
 package quant
 
 import (
-	"fmt"
-
 	"github.com/scidata/errprop/internal/nn"
 	"github.com/scidata/errprop/internal/numfmt"
 )
@@ -14,82 +12,10 @@ import (
 // step size and therefore both the bound and the achieved error, at the
 // cost of extra scale storage (see numfmt.ScaleOverheadBytes).
 func QuantizeGroupedINT8(net *nn.Network, g numfmt.Granularity, blockSize int) (*nn.Network, error) {
-	if net.Spec == nil {
-		return nil, fmt.Errorf("quant: network has no Spec")
-	}
-	plain := stripPSN(*net.Spec)
-	copyNet, err := plain.Build(0)
-	if err != nil {
-		return nil, fmt.Errorf("quant: rebuilding spec: %w", err)
-	}
-	if err := transferGrouped(net.Layers, copyNet.Layers, g, blockSize); err != nil {
-		return nil, err
-	}
-	copyNet.RefreshSigmas()
-	return copyNet, nil
-}
-
-func transferGrouped(src, dst []nn.Layer, g numfmt.Granularity, blockSize int) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("quant: layer count mismatch %d vs %d", len(src), len(dst))
-	}
-	for i := range src {
-		switch s := src[i].(type) {
-		case *nn.Dense:
-			d := dst[i].(*nn.Dense)
-			eff := s.EffectiveMatrix()
-			rounded, _, err := numfmt.GroupedINT8(eff.Data, s.Out, s.In, g, blockSize)
-			if err != nil {
-				return fmt.Errorf("quant: %s: %w", s.Name(), err)
-			}
-			copy(d.W.Data, rounded)
-			copy(d.B.Data, s.B.Data)
-		case *nn.Conv2D:
-			d := dst[i].(*nn.Conv2D)
-			eff := s.EffectiveKernel()
-			rounded, _, err := numfmt.GroupedINT8(eff.Data, s.OutC, s.InC*s.K*s.K, g, blockSize)
-			if err != nil {
-				return fmt.Errorf("quant: %s: %w", s.Name(), err)
-			}
-			copy(d.Wt.Data, rounded)
-			copy(d.B.Data, s.B.Data)
-		case *nn.Activation:
-			d := dst[i].(*nn.Activation)
-			for j, p := range s.Params() {
-				copy(d.Params()[j].Data, p.Data)
-			}
-		case *nn.Residual:
-			d := dst[i].(*nn.Residual)
-			if err := transferGrouped(s.Branch, d.Branch, g, blockSize); err != nil {
-				return err
-			}
-			if err := transferGrouped(s.Shortcut, d.Shortcut, g, blockSize); err != nil {
-				return err
-			}
-		case *nn.SkipConcat:
-			d := dst[i].(*nn.SkipConcat)
-			if err := transferGrouped(s.Branch, d.Branch, g, blockSize); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// GroupedLayerSteps returns every linear layer's RMS step size under a
-// grouped INT8 scheme (forward order), the inputs to the error-flow
-// analysis.
-func GroupedLayerSteps(net *nn.Network, g numfmt.Granularity, blockSize int) ([]float64, error) {
-	ops := net.LinearOps()
-	out := make([]float64, len(ops))
-	for i, op := range ops {
-		q, err := numfmt.GroupedStepSize(op.Weights, op.WRows, op.WCols, g, blockSize)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = q
-	}
-	return out, nil
+	return copyRounded(net, nil, func(_ int, w []float64, rows, cols int) ([]float64, error) {
+		rounded, _, err := numfmt.GroupedINT8(w, rows, cols, g, blockSize)
+		return rounded, err
+	})
 }
 
 // GroupedOverheadBytes sums the scale-storage overhead of a grouped

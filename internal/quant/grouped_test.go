@@ -150,8 +150,9 @@ func TestGroupedOverhead(t *testing.T) {
 	if pr != (50+50+9)*8 {
 		t.Fatalf("per-row overhead %d", pr)
 	}
-	steps, err := GroupedLayerSteps(net, numfmt.PerRow, 0)
-	if err != nil || len(steps) != 3 {
-		t.Fatalf("layer steps: %v, %v", steps, err)
+	for _, op := range net.LinearOps() {
+		if q, err := numfmt.GroupedStepSize(op.Weights, op.WRows, op.WCols, numfmt.PerRow, 0); err != nil || q <= 0 {
+			t.Fatalf("%s: per-row step %v, %v", op.LayerName, q, err)
+		}
 	}
 }

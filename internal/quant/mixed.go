@@ -12,63 +12,11 @@ import (
 // Network.LinearOps) — the execution side of the mixed-precision planner
 // in internal/core.
 func QuantizeMixed(net *nn.Network, assignment []numfmt.Format) (*nn.Network, error) {
-	if net.Spec == nil {
-		return nil, fmt.Errorf("quant: network has no Spec")
-	}
 	nLinear := len(net.LinearOps())
 	if len(assignment) != nLinear {
 		return nil, fmt.Errorf("quant: assignment length %d != %d linear layers", len(assignment), nLinear)
 	}
-	plain := stripPSN(*net.Spec)
-	copyNet, err := plain.Build(0)
-	if err != nil {
-		return nil, fmt.Errorf("quant: rebuilding spec: %w", err)
-	}
-	idx := 0
-	if err := transferMixed(net.Layers, copyNet.Layers, assignment, &idx); err != nil {
-		return nil, err
-	}
-	copyNet.RefreshSigmas()
-	return copyNet, nil
-}
-
-func transferMixed(src, dst []nn.Layer, assignment []numfmt.Format, idx *int) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("quant: layer count mismatch %d vs %d", len(src), len(dst))
-	}
-	for i := range src {
-		switch s := src[i].(type) {
-		case *nn.Dense:
-			d := dst[i].(*nn.Dense)
-			eff := s.EffectiveMatrix()
-			copy(d.W.Data, roundWeights(assignment[*idx], eff.Data))
-			copy(d.B.Data, s.B.Data)
-			*idx++
-		case *nn.Conv2D:
-			d := dst[i].(*nn.Conv2D)
-			eff := s.EffectiveKernel()
-			copy(d.Wt.Data, roundWeights(assignment[*idx], eff.Data))
-			copy(d.B.Data, s.B.Data)
-			*idx++
-		case *nn.Activation:
-			d := dst[i].(*nn.Activation)
-			for j, p := range s.Params() {
-				copy(d.Params()[j].Data, p.Data)
-			}
-		case *nn.Residual:
-			d := dst[i].(*nn.Residual)
-			if err := transferMixed(s.Branch, d.Branch, assignment, idx); err != nil {
-				return err
-			}
-			if err := transferMixed(s.Shortcut, d.Shortcut, assignment, idx); err != nil {
-				return err
-			}
-		case *nn.SkipConcat:
-			d := dst[i].(*nn.SkipConcat)
-			if err := transferMixed(s.Branch, d.Branch, assignment, idx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return copyRounded(net, nil, func(op int, w []float64, _, _ int) ([]float64, error) {
+		return numfmt.RoundSlice(assignment[op], w), nil
+	})
 }

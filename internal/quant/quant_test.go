@@ -63,12 +63,12 @@ func TestQuantizeWeightErrorWithinStep(t *testing.T) {
 		}
 		orig := net.LinearOps()
 		quant := q.LinearOps()
-		maxErrs := WeightError(net, f)
 		for l := range orig {
+			maxErr := numfmt.MaxError(f, orig[l].Weights)
 			for i := range orig[l].Weights {
 				d := math.Abs(orig[l].Weights[i] - quant[l].Weights[i])
-				if d > maxErrs[l]*(1+1e-9) {
-					t.Fatalf("%v layer %d: weight moved %v > MaxError %v", f, l, d, maxErrs[l])
+				if d > maxErr*(1+1e-9) {
+					t.Fatalf("%v layer %d: weight moved %v > MaxError %v", f, l, d, maxErr)
 				}
 			}
 		}
@@ -168,25 +168,6 @@ func TestQuantizeNoSpec(t *testing.T) {
 	net := &nn.Network{InputDim: 2}
 	if _, err := Quantize(net, numfmt.FP16); err == nil {
 		t.Fatal("network without Spec should error")
-	}
-}
-
-func TestLayerSteps(t *testing.T) {
-	net := buildTestMLP(t, false)
-	steps := LayerSteps(net, numfmt.FP16)
-	if len(steps) != 3 {
-		t.Fatalf("want 3 layer steps, got %d", len(steps))
-	}
-	for i, s := range steps {
-		if s <= 0 {
-			t.Fatalf("step %d = %v", i, s)
-		}
-	}
-	bf := LayerSteps(net, numfmt.BF16)
-	for i := range steps {
-		if bf[i] <= steps[i] {
-			t.Fatalf("BF16 step %v should exceed FP16 step %v", bf[i], steps[i])
-		}
 	}
 }
 

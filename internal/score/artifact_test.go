@@ -8,10 +8,11 @@ import (
 )
 
 // TestScoreArtifactMatchesSpecPath: scoring cold-started from an
-// artifact file — shipped quantized weights, shipped program, shipped
-// error-flow graph with build-time step tables, all round-tripped through
-// the wire format — is bit-identical to scoring the same spec model built
-// in memory, per chunk and in aggregate, across worker counts.
+// artifact file — shipped quantized weights and build-time step tables,
+// round-tripped through the wire format, with the program and error-flow
+// graph derived from them — is bit-identical to scoring the same spec
+// model built in memory, per chunk and in aggregate, across worker
+// counts.
 func TestScoreArtifactMatchesSpecPath(t *testing.T) {
 	const features = 6
 	net := testNet(t, features)

@@ -126,10 +126,10 @@ type Result struct {
 
 // ScoreArtifact runs the streaming scoring pipeline for a compiled model
 // (internal/artifact; a spec model is built in memory by artifact.Build
-// first) over the manifest's chunks. The shipped program binds to the
-// shipped already-quantized weights, and the shipped error-flow graph
-// with its build-time step tables supplies the certified accounting at
-// the artifact's format. The returned aggregate and per-chunk results
+// first) over the manifest's chunks. The artifact's program binds to its
+// already-quantized weights, and its error-flow graph with the
+// build-time step tables supplies the certified accounting at the
+// artifact's format. The returned aggregate and per-chunk results
 // are bit-identical for any Workers value, and — with CursorDir set —
 // across any kill/resume split.
 //

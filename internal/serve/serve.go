@@ -172,12 +172,12 @@ func (r *request) resolve(n int) {
 // RegisterArtifact adds a named model served from an ahead-of-time
 // compiled artifact (internal/artifact) — the one registration path. A
 // model file is decoded (artifact.Decode/ReadFile verify its frame,
-// canonical form, program and certified bound); a spec model is compiled
-// in memory by artifact.Build first. Nothing is recompiled or re-derived
-// here: the shipped program is bound to the shipped (already quantized)
-// weights, the planner runs against the shipped error-flow graph and
-// build-time step tables, and the model's reported checksum is the
-// artifact body's — the identity a gateway registry pins.
+// canonical form and certified bound); a spec model is compiled in
+// memory by artifact.Build first. Nothing is re-quantized or re-analyzed
+// here: the artifact's program is bound to its (already quantized)
+// weights, the planner runs against its error-flow graph and build-time
+// step tables, and the model's reported checksum is the artifact body's
+// — the identity a gateway registry pins.
 func (s *Server) RegisterArtifact(name string, art *artifact.Artifact) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty model name")
